@@ -2,7 +2,7 @@
 //! `DeviceSource` seam across flash, iid-width, SAR and pipeline
 //! silicon, plus the per-architecture priors loop, gated end to end.
 //!
-//! Part 1 runs `bist_mc::differential::run_arch_differential`: every
+//! Part 1 sweeps `bist_mc::differential::arch_scenario_grid`: every
 //! zoo paper preset × counter width, three runs per device × cell on
 //! bit-identical streams — the full behavioural sweep (ground truth),
 //! the sequenced behavioural path and the sequenced gate-accurate RTL
@@ -37,15 +37,17 @@
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::Resolution;
-use bist_bench::Scenario;
+use bist_bench::{
+    drift_allowance, print_cell_table, print_divergences, write_cell_csv, ReportChecksum, Scenario,
+};
 use bist_core::config::BistConfig;
 use bist_core::priors::PriorsBank;
 use bist_core::report::Table;
 use bist_core::screener::{ScreenVerdict, Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
-use bist_core::source::{Architecture, SourceSpec, Zoo};
+use bist_core::source::{DeviceSource, SourceSpec, Zoo};
 use bist_mc::batch::Batch;
-use bist_mc::differential::run_arch_differential;
+use bist_mc::differential::{self, arch_scenario_grid};
 use std::time::Instant;
 
 /// Held-out evaluation fleets draw from a different seed space than
@@ -127,47 +129,13 @@ fn run(sc: &mut Scenario) -> bool {
     let policy = SequencerConfig::default();
 
     // --- Part 1: per-architecture differential ----------------------
-    let diff = run_arch_differential(seed, &policy, devices, workers);
+    let diff = differential::run(&arch_scenario_grid(seed, &policy), devices, workers);
     println!("arch differential  {diff}");
-    let mut table = Table::new(&[
-        "cell",
-        "compared",
-        "latch-exact",
-        "early-stop %",
-        "samp/dev full",
-        "samp/dev seq",
-        "drift I",
-        "drift II",
-    ])
-    .with_title("E17 per-architecture differential: every architecture, both backends");
-    let mut csv = Vec::new();
-    for t in &diff.per_scenario {
-        let n = t.comparisons.max(1);
-        table.row_owned(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            format!("{:.0}", 100.0 * t.early_stops as f64 / n as f64),
-            format!("{:.0}", t.full_samples as f64 / n as f64),
-            format!("{:.0}", t.seq_samples as f64 / n as f64),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-        csv.push(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            t.early_stops.to_string(),
-            t.full_samples.to_string(),
-            t.seq_samples.to_string(),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-    }
-    println!("{table}");
-    for d in diff.divergences.iter().take(5) {
-        println!("DIVERGENCE {d}");
-    }
+    print_cell_table(
+        "E17 per-architecture differential: every architecture, both backends",
+        &diff,
+    );
+    print_divergences(&diff, "arch");
 
     // --- Part 2: mixed-zoo worker determinism -----------------------
     let zoo = Zoo::paper().with_seed(seed);
@@ -193,8 +161,10 @@ fn run(sc: &mut Scenario) -> bool {
     if !workers_identical {
         println!("DIVERGENCE mixed-zoo reports differ between 1 and 4 workers");
     }
-    let mut checksum = Fnv::new();
-    checksum.fold(&w1);
+    let mut checksum = ReportChecksum::default();
+    for (device, verdict) in &w1 {
+        checksum.fold(format!("{device}:{verdict:?};"));
+    }
 
     // --- Part 3: the priors loop ------------------------------------
     let mut bank = PriorsBank::new(policy);
@@ -203,8 +173,6 @@ fn run(sc: &mut Scenario) -> bool {
 
     let mut improved = 0u32;
     let mut drift_ok = true;
-    let allow =
-        |budget: f64, n: u64| (budget * n as f64 + 3.0 * (budget * n as f64).sqrt()).ceil() as u64;
     let mut prior_table = Table::new(&[
         "arch",
         "yield",
@@ -222,7 +190,7 @@ fn run(sc: &mut Scenario) -> bool {
         SourceSpec::paper_sar(),
         SourceSpec::paper_pipeline(),
     ] {
-        let arch = source_arch(source);
+        let arch = source.architecture();
         let batch = Batch::of(source)
             .seed(seed ^ EVAL_SEED_XOR)
             .size(eval_devices);
@@ -245,8 +213,8 @@ fn run(sc: &mut Scenario) -> bool {
         let (good, base_i, base_ii) = drift_counts(&truth, &base.accepted);
         let (_, tuned_i, tuned_ii) = drift_counts(&truth, &tuned.accepted);
         let bad = eval_devices as u64 - good;
-        let arch_drift_ok = tuned_i <= base_i + allow(policy.alpha, good)
-            && tuned_ii <= base_ii + allow(policy.beta, bad);
+        let arch_drift_ok = tuned_i <= base_i + drift_allowance(policy.alpha, good)
+            && tuned_ii <= base_ii + drift_allowance(policy.beta, bad);
         drift_ok &= arch_drift_ok;
         let base_mean = base.samples as f64 / eval_devices as f64;
         let tuned_mean = tuned.samples as f64 / eval_devices as f64;
@@ -285,7 +253,7 @@ fn run(sc: &mut Scenario) -> bool {
     println!("{prior_table}");
 
     sc.metric_count("devices", devices as u64);
-    sc.metric_count("comparisons", diff.comparisons);
+    sc.metric_count("comparisons", diff.comparisons());
     sc.metric_count("divergences", diff.divergences.len() as u64);
     sc.metric("early_stop_rate", diff.early_stop_rate());
     sc.metric("type_i_drift", diff.type_i_drift());
@@ -297,24 +265,11 @@ fn run(sc: &mut Scenario) -> bool {
         "zoo_devices_per_s",
         zoo_devices as f64 / zoo_elapsed.max(1e-9),
     );
-    let path = sc.csv(
-        "arch_fleet.csv",
-        &[
-            "cell",
-            "compared",
-            "latch_exact",
-            "early_stops",
-            "full_samples",
-            "seq_samples",
-            "drift_i",
-            "drift_ii",
-        ],
-        &csv,
-    );
+    let path = write_cell_csv(sc, "arch_fleet.csv", "cell", &diff);
     eprintln!("wrote {}", path.display());
 
     let clean =
-        diff.comparisons > 0 && diff.is_clean() && workers_identical && improved >= 1 && drift_ok;
+        diff.comparisons() > 0 && diff.is_clean() && workers_identical && improved >= 1 && drift_ok;
     if clean {
         println!("reading: every architecture in the zoo latches the identical early-stop");
         println!("decision on both backends, the mixed fleet's reports are invariant in the");
@@ -332,32 +287,4 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-fn source_arch(source: SourceSpec) -> Architecture {
-    use bist_core::source::DeviceSource;
-    source.architecture()
-}
-
-/// FNV-1a over the rendered reports, matching `batched_fleet`'s
-/// checksum so worker-count runs can be diffed from JSON records.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, reports: &[(usize, ScreenVerdict)]) {
-        for (device, verdict) in reports {
-            for b in format!("{device}:{verdict:?};").bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }

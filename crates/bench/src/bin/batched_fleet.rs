@@ -40,7 +40,7 @@ use bist_adc::flash::{FlashAdc, FlashConfig};
 use bist_adc::spec::LinearitySpec;
 use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{ReportChecksum, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -99,7 +99,7 @@ fn run(sc: &mut Scenario) -> bool {
     // be diffed for divergence without rerunning.
     const POOL_GRID: [(usize, usize); 4] = [(1, 5), (2, 8), (4, 32), (16, 3)];
     let mut divergences = 0u64;
-    let mut checksum = Fnv::new();
+    let mut checksum = ReportChecksum::default();
     for sequenced in [false, true] {
         let w = Workload::static_ramp(config);
         let mut scalar = Screener::new(w);
@@ -119,7 +119,9 @@ fn run(sc: &mut Scenario) -> bool {
             |i| scalar.screen_one(&fleet[i], &mut static_rng(i)),
             label,
         );
-        checksum.fold(&reports);
+        for (device, verdict) in &reports {
+            checksum.fold(format!("{device}:{verdict:?};"));
+        }
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
                 .lane_width(lanes)
@@ -166,7 +168,9 @@ fn run(sc: &mut Scenario) -> bool {
             |i| scalar.screen_one(&dyn_fleet[i], &mut dyn_rng(i)),
             label,
         );
-        checksum.fold(&reports);
+        for (device, verdict) in &reports {
+            checksum.fold(format!("{device}:{verdict:?};"));
+        }
         for (pool_workers, pool_chunk) in POOL_GRID {
             let mut pooled = Screener::new(w)
                 .lane_width(lanes)
@@ -357,29 +361,6 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-/// FNV-1a folded over the debug form of every `(device, verdict)` pair
-/// — a cheap, order-sensitive fleet fingerprint two runs can diff.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, reports: &[(usize, ScreenVerdict)]) {
-        for (device, verdict) in reports {
-            for b in format!("{device}:{verdict:?};").bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Compares batched reports against the scalar engine re-screening the

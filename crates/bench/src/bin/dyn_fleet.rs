@@ -23,11 +23,10 @@
 use bist_adc::flash::FlashConfig;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{print_cell_table, print_divergences, Scenario};
 use bist_core::backend::RtlBackend;
 use bist_core::dynamic::DynamicConfig;
-use bist_core::report::Table;
-use bist_mc::differential::{run_dyn_differential, DynDifferentialResult};
+use bist_mc::differential::{self, dyn_scenario_grid, CellId};
 use bist_mc::experiment::DynExperiment;
 
 fn main() {
@@ -45,30 +44,32 @@ fn run(sc: &mut Scenario) -> bool {
     let workers = sc.workers();
 
     // --- Part 1: the dynamic differential sweep ---------------------
-    let result = run_dyn_differential(seed, devices, workers);
+    let result = differential::run(&dyn_scenario_grid(seed), devices, workers);
     println!("dynamic sweep  {result}");
-
-    let mut table = Table::new(&["scenario", "compared", "decision-exact", "accepted"])
-        .with_title("E13 differential: Goertzel bank vs fixed-point DynBistTop");
+    print_cell_table(
+        "E13 differential: Goertzel bank vs fixed-point DynBistTop",
+        &result,
+    );
     let mut csv = Vec::new();
-    for tally in &result.per_scenario {
-        table.row_owned(vec![
-            tally.scenario.to_string(),
-            tally.comparisons.to_string(),
-            tally.agreements.to_string(),
-            tally.accepted.to_string(),
-        ]);
+    for t in &result.per_cell {
+        let CellId::Dynamic {
+            resolution_bits,
+            sigma_milli_lsb,
+            cycles,
+        } = t.cell
+        else {
+            unreachable!("the dynamic grid has dynamic cells only")
+        };
         csv.push(vec![
-            tally.scenario.resolution_bits.to_string(),
-            format!("0.{:03}", tally.scenario.sigma_milli_lsb),
-            tally.scenario.cycles.to_string(),
-            tally.comparisons.to_string(),
-            tally.agreements.to_string(),
-            tally.accepted.to_string(),
+            resolution_bits.to_string(),
+            format!("0.{sigma_milli_lsb:03}"),
+            cycles.to_string(),
+            t.comparisons.to_string(),
+            t.agreements.to_string(),
+            t.full_accepted.to_string(),
         ]);
     }
-    println!("{table}");
-    report_divergences(&result);
+    print_divergences(&result, "dynamic");
 
     // --- Part 2: fleet throughput, backend vs backend ---------------
     let flash =
@@ -93,7 +94,7 @@ fn run(sc: &mut Scenario) -> bool {
     }
 
     sc.metric_count("devices", devices as u64);
-    sc.metric_count("comparisons", result.comparisons);
+    sc.metric_count("comparisons", result.comparisons());
     sc.metric_count("divergences", result.divergences.len() as u64);
     sc.metric("agreement_rate", result.agreement_rate());
     sc.metric("acceptance_rate", behavioral.acceptance_rate());
@@ -116,7 +117,7 @@ fn run(sc: &mut Scenario) -> bool {
     eprintln!("wrote {}", path.display());
     // An empty sweep must not read as a pass — the smoke gate would go
     // vacuously green on BIST_DEVICES=0.
-    let clean = result.comparisons > 0 && result.is_clean() && verdicts_agree;
+    let clean = result.comparisons() > 0 && result.is_clean() && verdicts_agree;
     if clean {
         println!("reading: the fixed-point dynamic datapath reaches the identical accept/reject");
         println!("decision on every device — §2's THD/noise-power test runs on-chip with \"simple");
@@ -125,13 +126,4 @@ fn run(sc: &mut Scenario) -> bool {
         println!("reading: behavioural and RTL dynamic verdicts DIVERGED — see above.");
     }
     clean
-}
-
-fn report_divergences(result: &DynDifferentialResult) {
-    for d in result.divergences.iter().take(10) {
-        println!("DIVERGENCE: {d}");
-    }
-    if result.divergences.len() > 10 {
-        println!("... and {} more", result.divergences.len() - 10);
-    }
 }

@@ -21,12 +21,11 @@
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::Scenario;
+use bist_bench::{print_cell_table, print_divergences, Scenario};
 use bist_core::backend::RtlBackend;
 use bist_core::config::BistConfig;
-use bist_core::report::Table;
 use bist_mc::batch::Batch;
-use bist_mc::differential::{run_differential, DifferentialResult};
+use bist_mc::differential::{self, scenario_grid, CellId};
 use bist_mc::experiment::Experiment;
 use bist_mc::parallel::{run_parallel, run_parallel_with};
 
@@ -50,38 +49,39 @@ fn run(sc: &mut Scenario) -> bool {
     let batch = Batch::paper_simulation(seed, devices);
 
     // --- Part 1: differential sweep, nominal and skewed ramps -------
-    let nominal = run_differential(&batch, 0.0, workers);
-    let skewed = run_differential(&batch, slope_error, workers);
+    let nominal = differential::run(&scenario_grid(&batch, 0.0), devices, workers);
+    let skewed = differential::run(&scenario_grid(&batch, slope_error), devices, workers);
     println!("nominal ramp   {nominal}");
     println!("skewed ramp    {skewed}");
-
-    let mut table = Table::new(&["scenario", "compared", "bit-exact", "accepted"])
-        .with_title("E12 differential: behavioural vs RTL backend, nominal ramp");
+    print_cell_table(
+        "E12 differential: behavioural vs RTL backend, nominal ramp",
+        &nominal,
+    );
     let mut csv = Vec::new();
     for (ramp, result) in [("nominal", &nominal), ("skewed", &skewed)] {
-        for tally in &result.per_scenario {
-            if ramp == "nominal" {
-                table.row_owned(vec![
-                    tally.scenario.to_string(),
-                    tally.comparisons.to_string(),
-                    tally.agreements.to_string(),
-                    tally.accepted.to_string(),
-                ]);
-            }
+        for t in &result.per_cell {
+            let CellId::Static {
+                counter_bits,
+                deglitch,
+                noise,
+                ..
+            } = t.cell
+            else {
+                unreachable!("the static grid has static cells only")
+            };
             csv.push(vec![
                 ramp.to_owned(),
-                tally.scenario.counter_bits.to_string(),
-                u8::from(tally.scenario.deglitch).to_string(),
-                tally.scenario.noise.label().to_owned(),
-                tally.comparisons.to_string(),
-                tally.agreements.to_string(),
-                tally.accepted.to_string(),
+                counter_bits.to_string(),
+                u8::from(deglitch).to_string(),
+                noise.label().to_owned(),
+                t.comparisons.to_string(),
+                t.agreements.to_string(),
+                t.full_accepted.to_string(),
             ]);
         }
     }
-    println!("{table}");
-    report_divergences(&nominal, "nominal");
-    report_divergences(&skewed, "skewed");
+    print_divergences(&nominal, "nominal");
+    print_divergences(&skewed, "skewed");
 
     // --- Part 2: fleet throughput, backend vs backend ---------------
     let config = BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
@@ -106,7 +106,7 @@ fn run(sc: &mut Scenario) -> bool {
     }
 
     sc.metric_count("devices", devices as u64);
-    sc.metric_count("comparisons", nominal.comparisons + skewed.comparisons);
+    sc.metric_count("comparisons", nominal.comparisons() + skewed.comparisons());
     sc.metric_count(
         "divergences",
         (nominal.divergences.len() + skewed.divergences.len()) as u64,
@@ -134,7 +134,7 @@ fn run(sc: &mut Scenario) -> bool {
     // An empty sweep must not read as a pass — the smoke gate would go
     // vacuously green on BIST_DEVICES=0.
     let clean =
-        nominal.comparisons > 0 && nominal.is_clean() && skewed.is_clean() && verdicts_agree;
+        nominal.comparisons() > 0 && nominal.is_clean() && skewed.is_clean() && verdicts_agree;
     if clean {
         println!(
             "reading: the gate-accurate datapath reaches the identical verdict on every device —"
@@ -148,13 +148,4 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-fn report_divergences(result: &DifferentialResult, label: &str) {
-    for d in result.divergences.iter().take(10) {
-        println!("DIVERGENCE ({label}): {d}");
-    }
-    if result.divergences.len() > 10 {
-        println!("... and {} more ({label})", result.divergences.len() - 10);
-    }
 }

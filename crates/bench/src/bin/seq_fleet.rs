@@ -2,7 +2,7 @@
 //! uncertainty-guided sequencer over both verdict backends, scored
 //! against full-sweep ground truth.
 //!
-//! Part 1 runs `bist_mc::differential::run_seq_differential`: for every
+//! Part 1 sweeps `bist_mc::differential::seq_scenario_grid`: for every
 //! device × cell (static counter-width × mismatch σ cells plus dynamic
 //! resolution × mismatch σ cells), three runs consume bit-identical
 //! code streams — the full sweep (ground truth), the sequenced
@@ -30,14 +30,13 @@
 use bist_adc::flash::FlashConfig;
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::{Resolution, Volts};
-use bist_bench::Scenario;
+use bist_bench::{drift_allowance, print_cell_table, print_divergences, write_cell_csv, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
-use bist_core::report::Table;
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_mc::batch::Batch;
-use bist_mc::differential::{run_seq_differential, SeqDifferentialResult};
+use bist_mc::differential::{self, seq_scenario_grid};
 use bist_mc::experiment::{DynExperiment, DynExperimentResult, Experiment};
 use bist_mc::parallel::{partitioned, run_parallel};
 use std::time::Instant;
@@ -69,51 +68,16 @@ fn run(sc: &mut Scenario) -> bool {
     }
 
     // --- Part 1: the sequenced differential sweep -------------------
-    let result = run_seq_differential(seed, &policy, devices, workers);
+    let result = differential::run(&seq_scenario_grid(seed, &policy), devices, workers);
     println!("sequenced sweep  {result}");
-    for cell in &result.skipped_cells {
-        println!("skipped cell {}: {}", cell.scenario, cell.reason);
+    for (cell, reason) in &result.skipped_cells {
+        println!("skipped cell {cell}: {reason}");
     }
-
-    let mut table = Table::new(&[
-        "scenario",
-        "compared",
-        "latch-exact",
-        "early-stop %",
-        "samp/dev full",
-        "samp/dev seq",
-        "reduction",
-        "drift I",
-        "drift II",
-    ])
-    .with_title("E14 sequenced differential: early-stop layer over both backends");
-    let mut csv = Vec::new();
-    for t in &result.per_scenario {
-        let n = t.comparisons.max(1);
-        table.row_owned(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            format!("{:.0}", 100.0 * t.early_stops as f64 / n as f64),
-            format!("{:.0}", t.full_samples as f64 / n as f64),
-            format!("{:.0}", t.seq_samples as f64 / n as f64),
-            format!("{:.2}x", t.reduction()),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-        csv.push(vec![
-            t.scenario.to_string(),
-            t.comparisons.to_string(),
-            t.agreements.to_string(),
-            t.early_stops.to_string(),
-            t.full_samples.to_string(),
-            t.seq_samples.to_string(),
-            t.drift_i.to_string(),
-            t.drift_ii.to_string(),
-        ]);
-    }
-    println!("{table}");
-    report_divergences(&result);
+    print_cell_table(
+        "E14 sequenced differential: early-stop layer over both backends",
+        &result,
+    );
+    print_divergences(&result, "sequenced");
 
     // --- Part 2: wall-clock payoff, full vs sequenced ---------------
     let static_speed = static_throughput(seed, devices, workers, &policy);
@@ -136,7 +100,7 @@ fn run(sc: &mut Scenario) -> bool {
     );
 
     sc.metric_count("devices", devices as u64);
-    sc.metric_count("comparisons", result.comparisons);
+    sc.metric_count("comparisons", result.comparisons());
     sc.metric_count("divergences", result.divergences.len() as u64);
     sc.metric_count("skipped_cells", result.skipped_cells.len() as u64);
     sc.metric_count("invalid_planned", dyn_speed.invalid_planned);
@@ -152,37 +116,21 @@ fn run(sc: &mut Scenario) -> bool {
     sc.metric("seq_static_devices_per_s", static_speed.seq_dps);
     sc.metric("full_dyn_devices_per_s", dyn_speed.full_dps);
     sc.metric("seq_dyn_devices_per_s", dyn_speed.seq_dps);
-    let path = sc.csv(
-        "seq_fleet.csv",
-        &[
-            "scenario",
-            "compared",
-            "latch_exact",
-            "early_stops",
-            "full_samples",
-            "seq_samples",
-            "drift_i",
-            "drift_ii",
-        ],
-        &csv,
-    );
+    let path = write_cell_csv(sc, "seq_fleet.csv", "scenario", &result);
     eprintln!("wrote {}", path.display());
 
     // The gates. Empty sweeps must not read as a pass; drift must stay
-    // within the configured budgets — compared as event counts with
-    // binomial slack (budget·n + 3·√(budget·n)), since the budgets
-    // *price* occasional drift and a single in-budget event must not
-    // fail a small smoke run; passing devices must on average decide in
-    // less than half the full-sweep samples.
-    let good: u64 = result.per_scenario.iter().map(|t| t.full_accepted).sum();
-    let bad = result.comparisons - good;
-    let drift_i: u64 = result.per_scenario.iter().map(|t| t.drift_i).sum();
-    let drift_ii: u64 = result.per_scenario.iter().map(|t| t.drift_ii).sum();
-    let allow =
-        |budget: f64, n: u64| (budget * n as f64 + 3.0 * (budget * n as f64).sqrt()).ceil() as u64;
-    let drift_ok = drift_i <= allow(policy.alpha, good) && drift_ii <= allow(policy.beta, bad);
+    // within the configured budgets (as event counts with binomial
+    // slack, see `drift_allowance`); passing devices must on average
+    // decide in less than half the full-sweep samples.
+    let good: u64 = result.per_cell.iter().map(|t| t.full_accepted).sum();
+    let bad = result.comparisons() - good;
+    let drift_i: u64 = result.per_cell.iter().map(|t| t.drift_i).sum();
+    let drift_ii: u64 = result.per_cell.iter().map(|t| t.drift_ii).sum();
+    let drift_ok = drift_i <= drift_allowance(policy.alpha, good)
+        && drift_ii <= drift_allowance(policy.beta, bad);
     let reduction_ok = result.reduction_accepted() >= 2.0;
-    let clean = result.comparisons > 0 && result.is_clean() && drift_ok && reduction_ok;
+    let clean = result.comparisons() > 0 && result.is_clean() && drift_ok && reduction_ok;
     if clean {
         println!("reading: both backends latch the identical early-stop decision on every");
         println!("device, the sequenced verdicts drift from full-sweep ground truth within");
@@ -202,21 +150,12 @@ fn run(sc: &mut Scenario) -> bool {
              (allow {}) / drift II {drift_ii}/{bad} (allow {}) / \
              reduction on accepted {:.2}x (≥2x?)",
             result.divergences.len(),
-            allow(policy.alpha, good),
-            allow(policy.beta, bad),
+            drift_allowance(policy.alpha, good),
+            drift_allowance(policy.beta, bad),
             result.reduction_accepted()
         );
     }
     clean
-}
-
-fn report_divergences(result: &SeqDifferentialResult) {
-    for d in result.divergences.iter().take(10) {
-        println!("DIVERGENCE: {d}");
-    }
-    if result.divergences.len() > 10 {
-        println!("... and {} more", result.divergences.len() - 10);
-    }
 }
 
 struct Throughput {

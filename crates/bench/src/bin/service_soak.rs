@@ -34,7 +34,7 @@
 
 use bist_adc::spec::LinearitySpec;
 use bist_adc::types::Resolution;
-use bist_bench::{record_metrics, Scenario};
+use bist_bench::{record_metrics, ReportChecksum, Scenario};
 use bist_core::config::BistConfig;
 use bist_core::dynamic::DynamicConfig;
 use bist_core::pool;
@@ -186,9 +186,11 @@ fn run(sc: &mut Scenario) -> bool {
                 divergences += 1;
             }
         }
-        let mut fnv = Fnv::new();
-        fnv.fold(&got);
-        checksums.push(fnv.finish());
+        let mut checksum = ReportChecksum::default();
+        for (id, verdict) in &got {
+            checksum.fold(format!("{id}:{verdict};"));
+        }
+        checksums.push(checksum.finish());
     }
     let deterministic = checksums.windows(2).all(|w| w[0] == w[1]);
     if !deterministic {
@@ -356,30 +358,6 @@ fn run(sc: &mut Scenario) -> bool {
         );
     }
     clean
-}
-
-/// FNV-1a folded over the id-sorted `(id, verdict)` pairs — the same
-/// order-sensitive fingerprint shape as `batched_fleet`, so two runs at
-/// different worker counts can be diffed from their JSON records.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, reports: &[(u64, String)]) {
-        for (id, verdict) in reports {
-            for b in format!("{id}:{verdict};").bytes() {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Devices/s of `pass`: one warm-up, then repeated passes until enough

@@ -17,6 +17,8 @@ pub mod scenario;
 
 pub use scenario::Scenario;
 
+use bist_core::report::Table;
+use bist_mc::differential::DifferentialResult;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -159,6 +161,127 @@ fn parse_flat_pairs(body: &str) -> Vec<(String, f64)> {
         rest = rest.strip_prefix(',').unwrap_or(rest);
     }
     out
+}
+
+/// FNV-1a (64-bit) over rendered report records — the
+/// `report_checksum` the fleet gates emit, so two runs (e.g. at
+/// different `BIST_WORKERS`) can be diffed from their JSON records
+/// alone.
+#[derive(Debug, Clone, Copy)]
+pub struct ReportChecksum(u64);
+
+impl Default for ReportChecksum {
+    fn default() -> Self {
+        ReportChecksum(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl ReportChecksum {
+    /// Folds one rendered record (its bytes) into the checksum.
+    pub fn fold(&mut self, record: impl AsRef<[u8]>) {
+        for &b in record.as_ref() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The checksum so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The drift events a budget allows over `n` devices:
+/// `budget·n + 3·√(budget·n)`, rounded up. Budgets *price* occasional
+/// drift, so the binomial slack keeps a single in-budget event from
+/// failing a small smoke run.
+pub fn drift_allowance(budget: f64, n: u64) -> u64 {
+    let expected = budget * n as f64;
+    (expected + 3.0 * expected.sqrt()).ceil() as u64
+}
+
+/// Prints the first ten divergences of a differential sweep.
+pub fn print_divergences(result: &DifferentialResult, label: &str) {
+    for d in result.divergences.iter().take(10) {
+        println!("DIVERGENCE ({label}): {d}");
+    }
+    if result.divergences.len() > 10 {
+        println!("... and {} more ({label})", result.divergences.len() - 10);
+    }
+}
+
+/// Prints the per-cell table of a differential sweep: agreement,
+/// ground-truth acceptance, early stops, samples per device and drift.
+pub fn print_cell_table(title: &str, result: &DifferentialResult) {
+    let mut table = Table::new(&[
+        "cell",
+        "compared",
+        "agree",
+        "accepted",
+        "early-stop %",
+        "samp/dev full",
+        "samp/dev seq",
+        "reduction",
+        "drift I",
+        "drift II",
+    ])
+    .with_title(title);
+    for t in &result.per_cell {
+        let n = t.comparisons.max(1) as f64;
+        table.row_owned(vec![
+            t.cell.to_string(),
+            t.comparisons.to_string(),
+            t.agreements.to_string(),
+            t.full_accepted.to_string(),
+            format!("{:.0}", 100.0 * t.early_stops as f64 / n),
+            format!("{:.0}", t.full_samples as f64 / n),
+            format!("{:.0}", t.seq_samples as f64 / n),
+            format!("{:.2}x", t.reduction()),
+            t.drift_i.to_string(),
+            t.drift_ii.to_string(),
+        ]);
+    }
+    println!("{table}");
+}
+
+/// Writes the per-cell CSV of a sequenced differential sweep: the cell
+/// label (under `label_column`), comparisons, agreements, early stops,
+/// full and sequenced samples, and drift I/II.
+pub fn write_cell_csv(
+    sc: &mut Scenario,
+    name: &str,
+    label_column: &str,
+    result: &DifferentialResult,
+) -> PathBuf {
+    let rows: Vec<Vec<String>> = result
+        .per_cell
+        .iter()
+        .map(|t| {
+            let counts = [
+                t.comparisons,
+                t.agreements,
+                t.early_stops,
+                t.full_samples,
+                t.seq_samples,
+                t.drift_i,
+                t.drift_ii,
+            ];
+            std::iter::once(t.cell.to_string())
+                .chain(counts.map(|c| c.to_string()))
+                .collect()
+        })
+        .collect();
+    let header = [
+        label_column,
+        "compared",
+        "latch_exact",
+        "early_stops",
+        "full_samples",
+        "seq_samples",
+        "drift_i",
+        "drift_ii",
+    ];
+    sc.csv(name, &header, &rows)
 }
 
 /// A minimal ASCII scatter/line plot for the figure binaries.
@@ -313,6 +436,31 @@ mod tests {
         assert_eq!(record_metric(json, "devices_per_s"), Some(1234.5));
         assert_eq!(record_metric(json, "missing"), None);
         assert!(record_metrics("not json").is_empty());
+    }
+
+    #[test]
+    fn report_checksum_is_fnv1a() {
+        // FNV-1a-64 reference values.
+        assert_eq!(ReportChecksum::default().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut c = ReportChecksum::default();
+        c.fold("a");
+        assert_eq!(c.finish(), 0xaf63_dc4c_8601_ec8c);
+        // Bytes and &str fold alike, and records concatenate.
+        let mut parts = ReportChecksum::default();
+        parts.fold(b"fo");
+        parts.fold(String::from("obar"));
+        let mut whole = ReportChecksum::default();
+        whole.fold("foobar");
+        assert_eq!(parts.finish(), whole.finish());
+        assert_eq!(whole.finish(), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn drift_allowance_has_binomial_slack() {
+        assert_eq!(drift_allowance(1e-3, 0), 0);
+        // 1e-3 · 1000 = 1 expected event, + 3·√1 slack.
+        assert_eq!(drift_allowance(1e-3, 1000), 4);
+        assert_eq!(drift_allowance(1e-3, 10), 1);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! [`PriorsBank`] is that accumulator. Fleet drivers absorb
 //! [`SeqTally`]s from calibration runs (e.g.
-//! `bist_mc::differential::SeqDifferentialResult` maps its per-scenario
-//! tallies straight in) and then ask [`PriorsBank::policy_for`] for an
+//! `bist_mc::differential::DifferentialResult::seed_priors` maps its
+//! per-cell tallies straight in) and then ask [`PriorsBank::policy_for`] for an
 //! architecture-conditioned [`SequencerConfig`]: the same drift budgets,
 //! but `min_samples`/`check_interval` tightened toward where that
 //! architecture's decisions actually land.

@@ -57,7 +57,7 @@
 //!   record's raw dB metrics may still differ by the RTL's bounded
 //!   fixed-point quantisation, exactly like the full-record contract.
 //!
-//! The `bist_mc::differential::run_seq_differential` fleet sweep (and
+//! The `bist_mc::differential::seq_scenario_grid` fleet sweep (and
 //! the `seq_fleet` binary gating CI) validates decision-exactness at
 //! scale and measures the empirical type I/II drift and the
 //! samples-to-decision saving against full-sweep ground truth.

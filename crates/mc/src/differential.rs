@@ -1,55 +1,64 @@
-//! Differential fleet validation of the behavioural↔RTL verdict seam —
-//! static and dynamic workloads alike.
+//! Differential fleet validation of the behavioural↔RTL verdict seam:
+//! one harness over four grids of cells.
 //!
 //! The streaming engine judges devices through pluggable backends
 //! (`bist_core::backend`): the behavioural accumulators the fleet runs
-//! in production, and the gate-accurate `bist_rtl::BistTop`. This
-//! module sweeps both over the *same* code streams — random devices ×
-//! counter widths 4–7 × deglitch on/off × noise configurations × ramp
-//! slope errors — and demands **bit-exact agreement on every verdict
-//! field** (codes judged, DNL/INL failure counts, functional
-//! checks/mismatches, sample count, acceptance).
+//! in production, and the gate-accurate `bist_rtl::BistTop` /
+//! `bist_rtl::DynBistTop`. [`run`] screens every device × cell of a
+//! [`Grid`] through both on the *same* code streams and demands that
+//! they latch the same outcome. Each cell carries its settings as data
+//! — workload (noise, slope error), device source, RNG-stream scheme
+//! and optional early-stop sequencer — so one loop serves four grids:
 //!
-//! Any disagreement is a [`Divergence`] carrying both verdicts; the
-//! `rtl_fleet` reproduction binary fails its run (and CI) if one
-//! appears. The equivalence holds because every harness sweep dwells
-//! past its last transition (10-LSB overshoot), which is exactly the
-//! drain contract the RTL needs to flush its synchroniser latency —
-//! see `bist_core::backend` for the fine print.
+//! * [`scenario_grid`] — a batch's devices × counter widths 4–7 ×
+//!   deglitch on/off × noise point, at one ramp slope error (driven by
+//!   the `rtl_fleet` binary);
+//! * [`dyn_scenario_grid`] — flash devices × resolution × mismatch σ ×
+//!   coherent-bin choice (`dyn_fleet`);
+//! * [`seq_scenario_grid`] — static and dynamic cells under the
+//!   sequencer (`seq_fleet`);
+//! * [`arch_scenario_grid`] — every zoo architecture × counter width
+//!   under the sequencer (`arch_fleet`), whose tallies seed a
+//!   [`PriorsBank`].
 //!
-//! The **dynamic** seam gets the same treatment
-//! ([`run_dyn_differential`], driven by the `dyn_fleet` binary): random
-//! flash devices × converter resolution × mismatch σ × coherent-bin
-//! choice, each screened by the behavioural Goertzel bank and the
-//! fixed-point `bist_rtl::DynBistTop` on bit-identical code streams.
-//! There the raw dB metrics legitimately differ by the RTL's bounded
-//! quantisation, so agreement is demanded on what silicon latches: the
-//! per-limit *decisions*, the sample count and the completeness
-//! expectation ([`bist_core::dynamic::DynChecks`] plus the counters).
-//! Any disagreement is a [`DynDivergence`] and fails the run.
+//! Agreement means both backends latch the same sequencer decision,
+//! device decision and sample count, *and* the same verdict: every
+//! field of a static verdict, or the per-limit decisions, sample count
+//! and completeness of a dynamic one (the raw dB metrics may differ by
+//! the RTL's bounded fixed-point quantisation; an early-stopped record
+//! is judged on its latch alone). Any disagreement is a [`Divergence`]
+//! and fails the driving binary. The static equivalence holds because
+//! every sweep dwells past its last transition (10-LSB overshoot),
+//! which is exactly the drain contract the RTL needs to flush its
+//! synchroniser latency — see `bist_core::backend` for the fine print.
+//!
+//! Sequenced cells add a third run per device, the full behavioural
+//! sweep, as ground truth: the sequenced decision is scored against it
+//! for empirical type I/II drift and samples-to-decision. Unsequenced
+//! cells are their own ground truth, so they tally no early stops and
+//! no drift.
 
 use crate::batch::Batch;
 use crate::parallel::partitioned;
 use bist_adc::flash::FlashConfig;
 use bist_adc::noise::NoiseConfig;
 use bist_adc::spec::LinearitySpec;
+use bist_adc::transfer::TransferFunction;
 use bist_adc::types::{Resolution, Volts};
 use bist_core::analytic::WidthDistribution;
 use bist_core::backend::RtlBackend;
 use bist_core::config::BistConfig;
 use bist_core::dynamic::{DynamicConfig, DynamicVerdict};
-use bist_core::harness::BistVerdict;
 use bist_core::priors::{PriorsBank, SeqTally};
-use bist_core::screener::{Screener, Workload};
-use bist_core::sequencer::{SeqDecision, SeqOutcome, SequencerConfig, SweptVerdict};
-use bist_core::source::{Architecture, DeviceSource, IidWidthSource, SourceSpec};
+use bist_core::screener::{ScreenVerdict, Screener, Workload};
+use bist_core::sequencer::{SeqDecision, SequencerConfig};
+use bist_core::source::{
+    device_rng, stream_rng, Architecture, DeviceSource, IidWidthSource, SourceSpec,
+};
 use rand::rngs::StdRng;
 use std::fmt;
 
-/// The counter widths the paper sweeps (Table 1).
-pub const COUNTER_BITS: [u32; 4] = [4, 5, 6, 7];
-
-/// The acquisition noise points of the sweep.
+/// The acquisition noise points of the static sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NoisePoint {
@@ -92,591 +101,35 @@ impl NoisePoint {
     }
 }
 
-/// One cell of the sweep grid.
+/// What one grid cell varies — the key of its [`Tally`] and its label
+/// in reports and CSV artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioId {
-    /// Counter width in bits.
-    pub counter_bits: u32,
-    /// Whether the deglitch filters are in the datapath.
-    pub deglitch: bool,
-    /// Acquisition noise point.
-    pub noise: NoisePoint,
-}
-
-impl fmt::Display for ScenarioId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-bit/{}/{}",
-            self.counter_bits,
-            if self.deglitch { "deglitch" } else { "raw" },
-            self.noise.label()
-        )
-    }
-}
-
-/// A device/scenario where the two backends disagreed, with both
-/// verdicts for the post-mortem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Divergence {
-    /// Device index within the batch.
-    pub device: usize,
-    /// The sweep cell.
-    pub scenario: ScenarioId,
-    /// What the behavioural accumulators latched.
-    pub behavioral: BistVerdict,
-    /// What the gate-accurate datapath latched.
-    pub rtl: BistVerdict,
-}
-
-impl fmt::Display for Divergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "device {} [{}]: behavioral {:?} vs rtl {:?}",
-            self.device, self.scenario, self.behavioral, self.rtl
-        )
-    }
-}
-
-/// Per-scenario agreement accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScenarioTally {
-    /// The sweep cell.
-    pub scenario: ScenarioId,
-    /// Devices compared in this cell.
-    pub comparisons: u64,
-    /// Devices with bit-exact verdict agreement.
-    pub agreements: u64,
-    /// Devices the BIST accepted (both backends — counted on the
-    /// behavioural verdict).
-    pub accepted: u64,
-}
-
-/// Outcome of a differential sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DifferentialResult {
-    /// Devices swept.
-    pub devices: u64,
-    /// Total (device × scenario) comparisons.
-    pub comparisons: u64,
-    /// Comparisons with bit-exact verdict agreement.
-    pub agreements: u64,
-    /// Every disagreement observed.
-    pub divergences: Vec<Divergence>,
-    /// Agreement accounting per sweep cell (stable grid order).
-    pub per_scenario: Vec<ScenarioTally>,
-}
-
-impl DifferentialResult {
-    /// Whether the sweep found no divergence at all.
-    pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty() && self.agreements == self.comparisons
-    }
-
-    /// Fraction of comparisons in bit-exact agreement.
-    pub fn agreement_rate(&self) -> f64 {
-        if self.comparisons == 0 {
-            0.0
-        } else {
-            self.agreements as f64 / self.comparisons as f64
-        }
-    }
-
-    /// Merges a partial result from another worker (scenario tallies
-    /// merge cell-wise; both sides carry the same grid order).
-    pub fn merge(&mut self, other: &DifferentialResult) {
-        self.devices += other.devices;
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
-        self.divergences.extend_from_slice(&other.divergences);
-        if self.per_scenario.is_empty() {
-            self.per_scenario = other.per_scenario.clone();
-        } else {
-            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
-            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
-                debug_assert_eq!(mine.scenario, theirs.scenario);
-                mine.comparisons += theirs.comparisons;
-                mine.agreements += theirs.agreements;
-                mine.accepted += theirs.accepted;
-            }
-        }
-    }
-}
-
-impl fmt::Display for DifferentialResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} devices × {} scenarios: {}/{} verdicts bit-exact ({} divergences)",
-            self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
-            self.divergences.len()
-        )
-    }
-}
-
-/// The sweep grid: every counter width × deglitch × noise point, with
-/// the BIST config built once per cell.
-fn scenario_grid() -> Vec<(ScenarioId, BistConfig, NoiseConfig)> {
-    let spec = LinearitySpec::paper_stringent();
-    let mut grid = Vec::new();
-    for &counter_bits in &COUNTER_BITS {
-        for deglitch in [false, true] {
-            let config = BistConfig::builder(bist_adc::types::Resolution::SIX_BIT, spec)
-                .counter_bits(counter_bits)
-                .deglitch(deglitch)
-                .build()
-                .expect("paper operating points are valid");
-            for noise in NoisePoint::ALL {
-                grid.push((
-                    ScenarioId {
-                        counter_bits,
-                        deglitch,
-                        noise,
-                    },
-                    config,
-                    noise.config(),
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// RNG-stream salt decorrelating the differential sweep from device
-/// generation and the other experiments.
-const DIFF_SALT: usize = 0xd1ff_0000;
-
-/// Runs the differential sweep over a device range — the unit of work
-/// for the parallel fan-out. Both backends consume bit-identical code
-/// streams (same `(seed, device, scenario)`-derived RNG), so any
-/// disagreement is a genuine datapath divergence, not sampling noise.
-pub fn run_differential_range(
-    batch: &Batch,
-    slope_error: f64,
-    from: usize,
-    to: usize,
-) -> DifferentialResult {
-    let grid = scenario_grid();
-    // One screener per (grid cell, backend): the device-outer sweep
-    // order would otherwise thrash the RTL backend's single cached
-    // BistTop (one rebuild per config change); per-cell screeners keep
-    // every cache hit an in-place reset.
-    let mut behavioral: Vec<Screener> = grid
-        .iter()
-        .map(|(_, config, noise)| {
-            Screener::new(
-                Workload::static_ramp(*config)
-                    .with_noise(*noise)
-                    .with_slope_error(slope_error),
-            )
-        })
-        .collect();
-    let mut rtl: Vec<Screener<RtlBackend>> = grid
-        .iter()
-        .map(|(_, config, noise)| {
-            Screener::new(
-                Workload::static_ramp(*config)
-                    .with_noise(*noise)
-                    .with_slope_error(slope_error),
-            )
-            .backend(RtlBackend::new())
-        })
-        .collect();
-    let mut result = DifferentialResult {
-        per_scenario: grid
-            .iter()
-            .map(|(id, ..)| ScenarioTally {
-                scenario: *id,
-                comparisons: 0,
-                agreements: 0,
-                accepted: 0,
-            })
-            .collect(),
-        ..DifferentialResult::default()
-    };
-    let to = to.min(batch.size);
-    for i in from..to {
-        let tf = batch.device(i);
-        result.devices += 1;
-        for (cell, (id, ..)) in grid.iter().enumerate() {
-            // Cell stride 2^24: overflow-free even on 32-bit targets
-            // (cell < 48) and collision-free below 16M devices.
-            let rng_seed = i ^ DIFF_SALT ^ (cell << 24);
-            let behavioral = behavioral[cell]
-                .screen_one(&tf, &mut batch.device_rng(rng_seed))
-                .as_static()
-                .expect("static workload")
-                .verdict;
-            let rtl = rtl[cell]
-                .screen_one(&tf, &mut batch.device_rng(rng_seed))
-                .as_static()
-                .expect("static workload")
-                .verdict;
-            result.comparisons += 1;
-            result.per_scenario[cell].comparisons += 1;
-            if behavioral == rtl {
-                result.agreements += 1;
-                result.per_scenario[cell].agreements += 1;
-            } else {
-                result.divergences.push(Divergence {
-                    device: i,
-                    scenario: *id,
-                    behavioral,
-                    rtl,
-                });
-            }
-            if behavioral.accepted() {
-                result.per_scenario[cell].accepted += 1;
-            }
-        }
-    }
-    result
-}
-
-/// Runs the full differential sweep over a batch, fanned out across
-/// `workers` threads (0 = available parallelism). Deterministic in the
-/// worker count: devices and RNG streams derive from `(seed, index,
-/// scenario)` alone.
-pub fn run_differential(batch: &Batch, slope_error: f64, workers: usize) -> DifferentialResult {
-    let partials = partitioned(batch.size, workers, |from, to| {
-        run_differential_range(batch, slope_error, from, to)
-    });
-    let mut total = DifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-// ---------------------------------------------------------------------
-// The dynamic seam: behavioural Goertzel bank vs fixed-point DynBistTop.
-// ---------------------------------------------------------------------
-
-/// Converter resolutions of the dynamic sweep.
-pub const DYN_RESOLUTION_BITS: [u32; 2] = [6, 8];
-
-/// Code-width mismatch points of the dynamic sweep, milli-LSB (0 =
-/// ideal, 160/210 = the paper's circuit-simulation range).
-pub const DYN_SIGMA_MILLI: [u32; 3] = [0, 160, 210];
-
-/// Coherent-bin choices of the dynamic sweep (cycles per record, both
-/// odd and coprime with the record length).
-pub const DYN_CYCLES: [u32; 2] = [1021, 997];
-
-/// Samples per coherent record in the dynamic sweep.
-pub const DYN_RECORD_LEN: usize = 4096;
-
-/// One cell of the dynamic sweep grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynScenarioId {
-    /// Converter resolution in bits.
-    pub resolution_bits: u32,
-    /// Code-width mismatch σ_w in milli-LSB.
-    pub sigma_milli_lsb: u32,
-    /// Sine cycles per record (= the fundamental bin).
-    pub cycles: u32,
-}
-
-impl fmt::Display for DynScenarioId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}-bit/σ0.{:03}/{}c",
-            self.resolution_bits, self.sigma_milli_lsb, self.cycles
-        )
-    }
-}
-
-/// A device/scenario where the two dynamic backends disagreed on a
-/// decision, with both verdicts for the post-mortem.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DynDivergence {
-    /// Device index within the sweep.
-    pub device: usize,
-    /// The sweep cell.
-    pub scenario: DynScenarioId,
-    /// What the behavioural bank concluded.
-    pub behavioral: DynamicVerdict,
-    /// What the fixed-point datapath concluded.
-    pub rtl: DynamicVerdict,
-}
-
-impl fmt::Display for DynDivergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "device {} [{}]: behavioral {} vs rtl {}",
-            self.device, self.scenario, self.behavioral, self.rtl
-        )
-    }
-}
-
-/// Per-cell agreement accounting of the dynamic sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynScenarioTally {
-    /// The sweep cell.
-    pub scenario: DynScenarioId,
-    /// Devices compared in this cell.
-    pub comparisons: u64,
-    /// Devices with decision-exact verdict agreement.
-    pub agreements: u64,
-    /// Devices accepted (counted on the behavioural verdict).
-    pub accepted: u64,
-}
-
-/// Outcome of a dynamic differential sweep.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DynDifferentialResult {
-    /// Devices swept.
-    pub devices: u64,
-    /// Total (device × scenario) comparisons.
-    pub comparisons: u64,
-    /// Comparisons with decision-exact agreement.
-    pub agreements: u64,
-    /// Every disagreement observed.
-    pub divergences: Vec<DynDivergence>,
-    /// Agreement accounting per sweep cell (stable grid order).
-    pub per_scenario: Vec<DynScenarioTally>,
-}
-
-impl DynDifferentialResult {
-    /// Whether the sweep found no divergence at all.
-    pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty() && self.agreements == self.comparisons
-    }
-
-    /// Fraction of comparisons in decision-exact agreement.
-    pub fn agreement_rate(&self) -> f64 {
-        if self.comparisons == 0 {
-            0.0
-        } else {
-            self.agreements as f64 / self.comparisons as f64
-        }
-    }
-
-    /// Merges a partial result from another worker (cell-wise, like the
-    /// static [`DifferentialResult::merge`]).
-    pub fn merge(&mut self, other: &DynDifferentialResult) {
-        self.devices += other.devices;
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
-        self.divergences.extend_from_slice(&other.divergences);
-        if self.per_scenario.is_empty() {
-            self.per_scenario = other.per_scenario.clone();
-        } else {
-            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
-            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
-                debug_assert_eq!(mine.scenario, theirs.scenario);
-                mine.comparisons += theirs.comparisons;
-                mine.agreements += theirs.agreements;
-                mine.accepted += theirs.accepted;
-            }
-        }
-    }
-}
-
-impl fmt::Display for DynDifferentialResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} devices × {} scenarios: {}/{} dynamic decisions exact ({} divergences)",
-            self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
-            self.divergences.len()
-        )
-    }
-}
-
-/// The dynamic sweep grid: every resolution × mismatch σ × coherent-bin
-/// choice, with the device model and test plan built once per cell.
-fn dyn_scenario_grid() -> Vec<(DynScenarioId, FlashConfig, DynamicConfig)> {
-    let mut grid = Vec::new();
-    for &bits in &DYN_RESOLUTION_BITS {
-        let resolution = Resolution::new(bits).expect("sweep resolutions are valid");
-        // Keep the seed's 0.1 V/LSB convention at every resolution.
-        let high = Volts(0.1 * resolution.code_count() as f64);
-        for &sigma_milli in &DYN_SIGMA_MILLI {
-            let flash = FlashConfig::new(resolution, Volts(0.0), high)
-                .with_width_sigma_lsb(sigma_milli as f64 / 1000.0);
-            for &cycles in &DYN_CYCLES {
-                // Drive at exactly full scale: the default overdrive's
-                // clipping distortion (~−37 dBc, resolution-independent)
-                // would bury the 8-bit quantisation floor and reject
-                // even ideal devices.
-                let config = DynamicConfig::new(resolution, DYN_RECORD_LEN, cycles)
-                    .expect("sweep bins are valid")
-                    .with_overdrive(0.0);
-                grid.push((
-                    DynScenarioId {
-                        resolution_bits: bits,
-                        sigma_milli_lsb: sigma_milli,
-                        cycles,
-                    },
-                    flash,
-                    config,
-                ));
-            }
-        }
-    }
-    grid
-}
-
-/// RNG-stream salts decorrelating dynamic device generation and
-/// acquisition noise from each other and from the other experiments.
-const DYN_DEVICE_SALT: u64 = 0xdd1f_f000;
-const DYN_NOISE_SALT: u64 = 0xdd1f_f001;
-
-/// A seeded RNG for `(seed, salt, device, cell)` — every cell gets its
-/// own device and noise streams, so the sweep is deterministic in the
-/// worker count and cells never share draws (the shared
-/// [`crate::batch::stream_rng`] mixing).
-fn dyn_stream_rng(seed: u64, device: usize, cell: usize, salt: u64) -> StdRng {
-    crate::batch::stream_rng(seed, &[salt, device as u64, cell as u64])
-}
-
-/// Whether two dynamic verdicts agree on everything the silicon
-/// latches: the per-limit decisions, the sample count and the
-/// completeness expectation. The raw dB metrics are allowed to differ
-/// by the RTL's bounded fixed-point quantisation.
-pub fn dyn_decisions_agree(a: &DynamicVerdict, b: &DynamicVerdict) -> bool {
-    a.checks == b.checks && a.samples == b.samples && a.expected_samples == b.expected_samples
-}
-
-/// Runs the dynamic differential sweep over a device range — the unit
-/// of work for the parallel fan-out. Both backends consume
-/// bit-identical code streams (same `(seed, device, cell)`-derived
-/// device and noise RNG), so any decision disagreement is a genuine
-/// datapath divergence.
-pub fn run_dyn_differential_range(seed: u64, from: usize, to: usize) -> DynDifferentialResult {
-    let grid = dyn_scenario_grid();
-    let noise = NoiseConfig::noiseless().with_input_noise(0.002);
-    // One screener per (grid cell, backend): the device-outer sweep
-    // order would otherwise thrash the cached DynBistTop / Goertzel
-    // bank (one rebuild per config change).
-    let mut behavioral: Vec<Screener> = grid
-        .iter()
-        .map(|(.., config)| Screener::new(Workload::dynamic_sine(*config).with_noise(noise)))
-        .collect();
-    let mut rtl: Vec<Screener<RtlBackend>> = grid
-        .iter()
-        .map(|(.., config)| {
-            Screener::new(Workload::dynamic_sine(*config).with_noise(noise))
-                .backend(RtlBackend::new())
-        })
-        .collect();
-    let mut result = DynDifferentialResult {
-        per_scenario: grid
-            .iter()
-            .map(|(id, ..)| DynScenarioTally {
-                scenario: *id,
-                comparisons: 0,
-                agreements: 0,
-                accepted: 0,
-            })
-            .collect(),
-        ..DynDifferentialResult::default()
-    };
-    for i in from..to {
-        result.devices += 1;
-        for (cell, (id, flash, _)) in grid.iter().enumerate() {
-            let adc = flash.sample(&mut dyn_stream_rng(seed, i, cell, DYN_DEVICE_SALT));
-            let behavioral = behavioral[cell]
-                .screen_one(&adc, &mut dyn_stream_rng(seed, i, cell, DYN_NOISE_SALT))
-                .as_dynamic()
-                .expect("dynamic workload")
-                .verdict;
-            let rtl = rtl[cell]
-                .screen_one(&adc, &mut dyn_stream_rng(seed, i, cell, DYN_NOISE_SALT))
-                .as_dynamic()
-                .expect("dynamic workload")
-                .verdict;
-            result.comparisons += 1;
-            result.per_scenario[cell].comparisons += 1;
-            if dyn_decisions_agree(&behavioral, &rtl) {
-                result.agreements += 1;
-                result.per_scenario[cell].agreements += 1;
-            } else {
-                result.divergences.push(DynDivergence {
-                    device: i,
-                    scenario: *id,
-                    behavioral,
-                    rtl,
-                });
-            }
-            if behavioral.accepted() {
-                result.per_scenario[cell].accepted += 1;
-            }
-        }
-    }
-    result
-}
-
-/// Runs the full dynamic differential sweep over `devices` devices,
-/// fanned out across `workers` threads (0 = available parallelism).
-/// Deterministic in the worker count: devices and RNG streams derive
-/// from `(seed, index, cell)` alone.
-pub fn run_dyn_differential(seed: u64, devices: usize, workers: usize) -> DynDifferentialResult {
-    let partials = partitioned(devices, workers, |from, to| {
-        run_dyn_differential_range(seed, from, to)
-    });
-    let mut total = DynDifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-// ---------------------------------------------------------------------
-// The sequenced early-stop seam: both backends under the sequencer,
-// validated against full-sweep ground truth.
-// ---------------------------------------------------------------------
-
-/// Counter widths of the sequenced static cells.
-pub const SEQ_STATIC_COUNTER_BITS: [u32; 2] = [4, 7];
-
-/// Static mismatch points of the sequenced sweep, milli-LSB.
-pub const SEQ_STATIC_SIGMA_MILLI: [u32; 2] = [50, 210];
-
-/// Dynamic mismatch points of the sequenced sweep, milli-LSB.
-pub const SEQ_DYN_SIGMA_MILLI: [u32; 3] = [0, 160, 210];
-
-/// Converter resolutions of the sequenced dynamic cells.
-pub const SEQ_DYN_RESOLUTION_BITS: [u32; 2] = [6, 8];
-
-/// Counter widths of the per-architecture sequenced cells.
-pub const ARCH_COUNTER_BITS: [u32; 2] = [4, 6];
-
-/// One cell of the sequenced sweep grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeqScenarioId {
-    /// A static-linearity cell.
+pub enum CellId {
+    /// A static-linearity (ramp) cell.
     Static {
+        /// The device architecture the cell draws from.
+        arch: Architecture,
         /// Counter width in bits.
         counter_bits: u32,
-        /// Code-width mismatch σ_w in milli-LSB (iid-width devices).
-        sigma_milli_lsb: u32,
+        /// Code-width mismatch σ_w in milli-LSB of the cell's own
+        /// iid-width devices (`None` for a batch's devices).
+        sigma_milli_lsb: Option<u32>,
         /// Whether the deglitch filters are in the datapath.
         deglitch: bool,
         /// Acquisition noise point.
         noise: NoisePoint,
     },
-    /// A dynamic (coherent-record) cell.
+    /// A dynamic (coherent-record) cell over flash devices.
     Dynamic {
         /// Converter resolution in bits.
         resolution_bits: u32,
-        /// Code-width mismatch σ_w in milli-LSB (flash devices).
+        /// Code-width mismatch σ_w in milli-LSB.
         sigma_milli_lsb: u32,
-        /// Sine cycles per record.
+        /// Sine cycles per record (= the fundamental bin).
         cycles: u32,
     },
     /// A static cell drawing paper-preset devices of one named zoo
-    /// architecture — the per-architecture seam validation that feeds
+    /// architecture — the per-architecture validation that feeds
     /// [`bist_core::priors`].
     Arch {
         /// The device architecture the cell draws from.
@@ -686,33 +139,34 @@ pub enum SeqScenarioId {
     },
 }
 
-impl SeqScenarioId {
-    /// The device architecture this cell draws from. The legacy static
-    /// grid sweeps iid-width devices; the dynamic grid sweeps flash.
+impl CellId {
+    /// The device architecture this cell draws from.
     pub fn architecture(&self) -> Architecture {
         match self {
-            SeqScenarioId::Static { .. } => Architecture::IidWidths,
-            SeqScenarioId::Dynamic { .. } => Architecture::Flash,
-            SeqScenarioId::Arch { arch, .. } => *arch,
+            CellId::Static { arch, .. } | CellId::Arch { arch, .. } => *arch,
+            CellId::Dynamic { .. } => Architecture::Flash,
         }
     }
 }
 
-impl fmt::Display for SeqScenarioId {
+impl fmt::Display for CellId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SeqScenarioId::Static {
+            CellId::Static {
                 counter_bits,
                 sigma_milli_lsb,
                 deglitch,
                 noise,
-            } => write!(
-                f,
-                "static/{counter_bits}-bit/σ0.{sigma_milli_lsb:03}/{}/{}",
-                if *deglitch { "deglitch" } else { "raw" },
-                noise.label()
-            ),
-            SeqScenarioId::Dynamic {
+                ..
+            } => {
+                write!(f, "static/{counter_bits}-bit/")?;
+                if let Some(sigma) = sigma_milli_lsb {
+                    write!(f, "σ0.{sigma:03}/")?;
+                }
+                let filters = if *deglitch { "deglitch" } else { "raw" };
+                write!(f, "{filters}/{}", noise.label())
+            }
+            CellId::Dynamic {
                 resolution_bits,
                 sigma_milli_lsb,
                 cycles,
@@ -720,90 +174,46 @@ impl fmt::Display for SeqScenarioId {
                 f,
                 "dynamic/{resolution_bits}-bit/σ0.{sigma_milli_lsb:03}/{cycles}c"
             ),
-            SeqScenarioId::Arch { arch, counter_bits } => {
+            CellId::Arch { arch, counter_bits } => {
                 write!(f, "arch/{}/{counter_bits}-bit", arch.label())
             }
         }
     }
 }
 
-/// What the silicon latches from one sequenced run — the part that must
-/// be identical across backends for every workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqLatch {
-    /// The sequencer decision (kind and decision sample).
-    pub decision: SeqDecision,
-    /// The device-level decision.
-    pub accepted: bool,
-    /// ADC samples physically consumed.
-    pub samples: u64,
-}
-
-impl SeqLatch {
-    fn of<V: SweptVerdict>(outcome: &SeqOutcome<V>) -> Self {
-        SeqLatch {
-            decision: outcome.decision,
-            accepted: outcome.accepted(),
-            samples: outcome.samples_consumed(),
-        }
-    }
-}
-
-impl fmt::Display for SeqLatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({} after {} samples)",
-            self.decision,
-            if self.accepted { "ACCEPT" } else { "REJECT" },
-            self.samples
-        )
-    }
-}
-
-/// A device/scenario where the two sequenced backends disagreed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqDivergence {
+/// A device/cell where the two backends disagreed, with both verdicts
+/// for the post-mortem.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Divergence {
     /// Device index within the sweep.
     pub device: usize,
     /// The sweep cell.
-    pub scenario: SeqScenarioId,
+    pub cell: CellId,
     /// What the behavioural path latched.
-    pub behavioral: SeqLatch,
+    pub behavioral: ScreenVerdict,
     /// What the gate-accurate path latched.
-    pub rtl: SeqLatch,
+    pub rtl: ScreenVerdict,
 }
 
-impl fmt::Display for SeqDivergence {
+impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "device {} [{}]: behavioral {} vs rtl {}",
-            self.device, self.scenario, self.behavioral, self.rtl
+            "device {} [{}]: behavioral {:?} vs rtl {:?}",
+            self.device, self.cell, self.behavioral, self.rtl
         )
     }
 }
 
-/// A candidate cell the grid builder dropped because its configuration
-/// failed validation (e.g. a fixed-point-unrealisable dynamic plan).
-/// Skipped cells carry no screened devices and are excluded from every
-/// throughput and drift figure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqSkippedCell {
-    /// The rejected cell.
-    pub scenario: SeqScenarioId,
-    /// The validation error.
-    pub reason: String,
-}
-
-/// Per-cell accounting of the sequenced sweep.
+/// Per-cell accounting. The "sequenced" figures are the behavioural
+/// path's; for an unsequenced cell they equal the full-sweep figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeqScenarioTally {
+pub struct Tally {
     /// The sweep cell.
-    pub scenario: SeqScenarioId,
+    pub cell: CellId,
     /// Devices compared in this cell.
     pub comparisons: u64,
-    /// Devices with latch-identical backend agreement.
+    /// Devices whose backends agreed.
     pub agreements: u64,
     /// Sequenced runs that stopped before the full stimulus.
     pub early_stops: u64,
@@ -821,7 +231,7 @@ pub struct SeqScenarioTally {
     pub drift_ii: u64,
     /// Total full-sweep samples (ground truth cost).
     pub full_samples: u64,
-    /// Total sequenced samples (behavioural path).
+    /// Total sequenced samples.
     pub seq_samples: u64,
     /// Full-sweep samples over ground-truth-accepted devices.
     pub full_samples_accepted: u64,
@@ -829,10 +239,10 @@ pub struct SeqScenarioTally {
     pub seq_samples_accepted: u64,
 }
 
-impl SeqScenarioTally {
-    fn new(scenario: SeqScenarioId) -> Self {
-        SeqScenarioTally {
-            scenario,
+impl Tally {
+    fn new(cell: CellId) -> Self {
+        Tally {
+            cell,
             comparisons: 0,
             agreements: 0,
             early_stops: 0,
@@ -849,107 +259,144 @@ impl SeqScenarioTally {
         }
     }
 
-    /// Mean samples-to-decision reduction in this cell (full / seq).
-    pub fn reduction(&self) -> f64 {
-        if self.seq_samples == 0 {
-            0.0
+    /// Scores one device: whether the backends agreed, the behavioural
+    /// outcome and the full-sweep ground truth.
+    fn record(&mut self, agree: bool, seq: &ScreenVerdict, truth: &ScreenVerdict) {
+        let samples = seq.samples();
+        self.comparisons += 1;
+        self.agreements += u64::from(agree);
+        self.early_stops += u64::from(seq.stopped_early());
+        match seq.decision() {
+            SeqDecision::AcceptEarly(_) => self.early_accepts += 1,
+            SeqDecision::RejectEarly(_) => self.early_rejects += 1,
+            SeqDecision::Continue => {}
+        }
+        if seq.stopped_early() {
+            self.seq_samples_early += samples;
+        }
+        self.full_samples += truth.samples();
+        self.seq_samples += samples;
+        if truth.accepted() {
+            self.full_accepted += 1;
+            self.full_samples_accepted += truth.samples();
+            self.seq_samples_accepted += samples;
+            self.drift_i += u64::from(!seq.accepted());
         } else {
-            self.full_samples as f64 / self.seq_samples as f64
+            self.drift_ii += u64::from(seq.accepted());
         }
     }
-}
 
-/// Outcome of a sequenced differential sweep.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SeqDifferentialResult {
-    /// Devices swept.
-    pub devices: u64,
-    /// Total (device × valid scenario) comparisons.
-    pub comparisons: u64,
-    /// Comparisons with latch-identical backend agreement.
-    pub agreements: u64,
-    /// Every backend disagreement observed.
-    pub divergences: Vec<SeqDivergence>,
-    /// Accounting per valid sweep cell (stable grid order).
-    pub per_scenario: Vec<SeqScenarioTally>,
-    /// Candidate cells rejected by config validation — excluded from
-    /// all throughput figures so devices/s stays comparable.
-    pub skipped_cells: Vec<SeqSkippedCell>,
-}
-
-impl SeqDifferentialResult {
-    /// Whether the sweep found no backend divergence at all.
-    pub fn is_clean(&self) -> bool {
-        self.divergences.is_empty() && self.agreements == self.comparisons
+    fn absorb(&mut self, o: &Tally) {
+        debug_assert_eq!(self.cell, o.cell);
+        self.comparisons += o.comparisons;
+        self.agreements += o.agreements;
+        self.early_stops += o.early_stops;
+        self.early_accepts += o.early_accepts;
+        self.early_rejects += o.early_rejects;
+        self.seq_samples_early += o.seq_samples_early;
+        self.full_accepted += o.full_accepted;
+        self.drift_i += o.drift_i;
+        self.drift_ii += o.drift_ii;
+        self.full_samples += o.full_samples;
+        self.seq_samples += o.seq_samples;
+        self.full_samples_accepted += o.full_samples_accepted;
+        self.seq_samples_accepted += o.seq_samples_accepted;
     }
 
-    fn sum<F: Fn(&SeqScenarioTally) -> u64>(&self, f: F) -> u64 {
-        self.per_scenario.iter().map(f).sum()
+    /// Mean samples-to-decision reduction in this cell (full / seq).
+    pub fn reduction(&self) -> f64 {
+        ratio(self.full_samples, self.seq_samples)
+    }
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Outcome of a differential sweep.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct DifferentialResult {
+    /// Devices swept.
+    pub devices: u64,
+    /// Every backend disagreement observed.
+    pub divergences: Vec<Divergence>,
+    /// Accounting per valid cell (stable grid order).
+    pub per_cell: Vec<Tally>,
+    /// Candidate cells rejected by config validation, with the reason —
+    /// never screened and excluded from every figure.
+    pub skipped_cells: Vec<(CellId, String)>,
+}
+
+impl DifferentialResult {
+    fn sum(&self, f: impl Fn(&Tally) -> u64) -> u64 {
+        self.per_cell.iter().map(f).sum()
+    }
+
+    /// Total (device × valid cell) comparisons.
+    pub fn comparisons(&self) -> u64 {
+        self.sum(|t| t.comparisons)
+    }
+
+    /// Comparisons whose backends agreed.
+    pub fn agreements(&self) -> u64 {
+        self.sum(|t| t.agreements)
+    }
+
+    /// Whether the sweep found no backend divergence at all.
+    pub fn is_clean(&self) -> bool {
+        self.divergences.is_empty() && self.agreements() == self.comparisons()
+    }
+
+    /// Fraction of comparisons whose backends agreed.
+    pub fn agreement_rate(&self) -> f64 {
+        ratio(self.agreements(), self.comparisons())
     }
 
     /// Empirical type I drift rate: P(sequencer rejects | full sweep
     /// accepts).
     pub fn type_i_drift(&self) -> f64 {
-        let good = self.sum(|t| t.full_accepted);
-        if good == 0 {
-            0.0
-        } else {
-            self.sum(|t| t.drift_i) as f64 / good as f64
-        }
+        ratio(self.sum(|t| t.drift_i), self.sum(|t| t.full_accepted))
     }
 
     /// Empirical type II drift rate: P(sequencer accepts | full sweep
     /// rejects).
     pub fn type_ii_drift(&self) -> f64 {
-        let bad = self.comparisons - self.sum(|t| t.full_accepted);
-        if bad == 0 {
-            0.0
-        } else {
-            self.sum(|t| t.drift_ii) as f64 / bad as f64
-        }
+        let bad = self.comparisons() - self.sum(|t| t.full_accepted);
+        ratio(self.sum(|t| t.drift_ii), bad)
     }
 
     /// Mean samples-to-decision reduction over all devices.
     pub fn reduction_overall(&self) -> f64 {
-        let seq = self.sum(|t| t.seq_samples);
-        if seq == 0 {
-            0.0
-        } else {
-            self.sum(|t| t.full_samples) as f64 / seq as f64
-        }
+        ratio(self.sum(|t| t.full_samples), self.sum(|t| t.seq_samples))
     }
 
     /// Mean samples-to-decision reduction over ground-truth-accepted
     /// (passing) devices — the headline figure: even devices that must
     /// be accepted stop early.
     pub fn reduction_accepted(&self) -> f64 {
-        let seq = self.sum(|t| t.seq_samples_accepted);
-        if seq == 0 {
-            0.0
-        } else {
-            self.sum(|t| t.full_samples_accepted) as f64 / seq as f64
-        }
+        ratio(
+            self.sum(|t| t.full_samples_accepted),
+            self.sum(|t| t.seq_samples_accepted),
+        )
     }
 
     /// Mean samples-to-decision reduction over ground-truth-rejected
     /// devices.
     pub fn reduction_rejected(&self) -> f64 {
-        let seq = self.sum(|t| t.seq_samples) - self.sum(|t| t.seq_samples_accepted);
-        if seq == 0 {
-            0.0
-        } else {
-            (self.sum(|t| t.full_samples) - self.sum(|t| t.full_samples_accepted)) as f64
-                / seq as f64
-        }
+        ratio(
+            self.sum(|t| t.full_samples - t.full_samples_accepted),
+            self.sum(|t| t.seq_samples - t.seq_samples_accepted),
+        )
     }
 
     /// Fraction of sequenced runs that stopped early.
     pub fn early_stop_rate(&self) -> f64 {
-        if self.comparisons == 0 {
-            0.0
-        } else {
-            self.sum(|t| t.early_stops) as f64 / self.comparisons as f64
-        }
+        ratio(self.sum(|t| t.early_stops), self.comparisons())
     }
 
     /// Folds every cell's sequenced accounting into a priors bank,
@@ -958,9 +405,9 @@ impl SeqDifferentialResult {
     /// samples-to-decision, the bank turns that into
     /// architecture-conditioned sequencer hints.
     pub fn seed_priors(&self, bank: &mut PriorsBank) {
-        for t in &self.per_scenario {
+        for t in &self.per_cell {
             bank.absorb(
-                t.scenario.architecture(),
+                t.cell.architecture(),
                 SeqTally {
                     runs: t.comparisons,
                     early_accepts: t.early_accepts,
@@ -973,49 +420,34 @@ impl SeqDifferentialResult {
         }
     }
 
-    /// Merges a partial result from another worker (cell-wise; skipped
-    /// cells are grid-derived and identical on every worker).
-    pub fn merge(&mut self, other: &SeqDifferentialResult) {
+    /// Merges a partial result from another worker (cell-wise; both
+    /// sides come from the same grid).
+    fn merge(&mut self, other: &DifferentialResult) {
         self.devices += other.devices;
-        self.comparisons += other.comparisons;
-        self.agreements += other.agreements;
         self.divergences.extend_from_slice(&other.divergences);
-        if self.per_scenario.is_empty() {
-            self.per_scenario = other.per_scenario.clone();
+        if self.per_cell.is_empty() {
+            self.per_cell = other.per_cell.clone();
             self.skipped_cells = other.skipped_cells.clone();
         } else {
-            debug_assert_eq!(self.per_scenario.len(), other.per_scenario.len());
-            for (mine, theirs) in self.per_scenario.iter_mut().zip(&other.per_scenario) {
-                debug_assert_eq!(mine.scenario, theirs.scenario);
-                mine.comparisons += theirs.comparisons;
-                mine.agreements += theirs.agreements;
-                mine.early_stops += theirs.early_stops;
-                mine.early_accepts += theirs.early_accepts;
-                mine.early_rejects += theirs.early_rejects;
-                mine.seq_samples_early += theirs.seq_samples_early;
-                mine.full_accepted += theirs.full_accepted;
-                mine.drift_i += theirs.drift_i;
-                mine.drift_ii += theirs.drift_ii;
-                mine.full_samples += theirs.full_samples;
-                mine.seq_samples += theirs.seq_samples;
-                mine.full_samples_accepted += theirs.full_samples_accepted;
-                mine.seq_samples_accepted += theirs.seq_samples_accepted;
+            debug_assert_eq!(self.per_cell.len(), other.per_cell.len());
+            for (mine, theirs) in self.per_cell.iter_mut().zip(&other.per_cell) {
+                mine.absorb(theirs);
             }
         }
     }
 }
 
-impl fmt::Display for SeqDifferentialResult {
+impl fmt::Display for DifferentialResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} devices × {} scenarios: {}/{} sequenced latches identical \
+            "{} devices × {} cells: {}/{} backend latches agree \
              ({} divergences, {:.0}% early stops, {:.2}x samples overall, \
              drift I {:.2e} / II {:.2e})",
             self.devices,
-            self.per_scenario.len(),
-            self.agreements,
-            self.comparisons,
+            self.per_cell.len(),
+            self.agreements(),
+            self.comparisons(),
             self.divergences.len(),
             100.0 * self.early_stop_rate(),
             self.reduction_overall(),
@@ -1025,436 +457,376 @@ impl fmt::Display for SeqDifferentialResult {
     }
 }
 
-/// A validated cell of the sequenced grid. Devices in either arm come
-/// from the [`DeviceSource`] seam, so one loop screens flash, iid-width,
-/// SAR and pipeline silicon alike.
-enum SeqCell {
-    Static {
-        config: BistConfig,
-        source: SourceSpec,
-        noise: NoiseConfig,
-    },
-    Dynamic {
-        config: DynamicConfig,
-        source: SourceSpec,
-    },
-}
-
-/// The per-cell screeners of the sequenced sweep: the full-sweep
-/// behavioural ground truth plus both sequenced backends, all sharing
-/// the cell's workload.
-enum SeqRunner {
-    Static {
-        full: Screener,
-        seq_b: Screener,
-        seq_r: Screener<RtlBackend>,
-        source: SourceSpec,
-    },
-    Dynamic {
-        full: Screener,
-        seq_b: Screener,
-        seq_r: Screener<RtlBackend>,
-        source: SourceSpec,
+/// Where a cell's devices and acquisition noise come from.
+#[derive(Debug, Clone, Copy)]
+enum Streams {
+    /// Device `i` is the batch's device — drawn once from
+    /// `device_rng(seed, i)` and shared by every cell — with cell `c`'s
+    /// noise from `device_rng(seed, i ^ DIFF_SALT ^ c << 24)`.
+    Shared { seed: u64 },
+    /// Every cell draws its own device and noise:
+    /// `stream_rng(seed, [salt, i, c])`.
+    PerCell {
+        seed: u64,
+        device_salt: u64,
+        noise_salt: u64,
     },
 }
 
-impl SeqRunner {
-    fn new(cell: &SeqCell, policy: &SequencerConfig) -> Self {
-        match cell {
-            SeqCell::Static {
-                config,
-                source,
-                noise,
-            } => {
-                let w = Workload::static_ramp(*config).with_noise(*noise);
-                SeqRunner::Static {
-                    full: Screener::new(w),
-                    seq_b: Screener::new(w).sequencer(*policy),
-                    seq_r: Screener::new(w)
-                        .sequencer(*policy)
-                        .backend(RtlBackend::new()),
-                    source: *source,
-                }
+/// RNG-stream salt decorrelating the shared-device noise streams from
+/// device generation and the other experiments.
+const DIFF_SALT: usize = 0xd1ff_0000;
+
+impl Streams {
+    fn device(self, device: usize, cell: usize) -> StdRng {
+        match self {
+            Streams::Shared { seed } => device_rng(seed, device),
+            Streams::PerCell {
+                seed, device_salt, ..
+            } => stream_rng(seed, &[device_salt, device as u64, cell as u64]),
+        }
+    }
+
+    fn noise(self, device: usize, cell: usize) -> StdRng {
+        match self {
+            // Cell stride 2^24: overflow-free even on 32-bit targets
+            // (cell < 48) and collision-free below 16M devices.
+            Streams::Shared { seed } => device_rng(seed, device ^ DIFF_SALT ^ (cell << 24)),
+            Streams::PerCell {
+                seed, noise_salt, ..
+            } => stream_rng(seed, &[noise_salt, device as u64, cell as u64]),
+        }
+    }
+}
+
+/// One valid cell of a grid: its settings, as data.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    id: CellId,
+    workload: Workload,
+    source: SourceSpec,
+    streams: Streams,
+    sequencer: Option<SequencerConfig>,
+}
+
+/// A sweep grid: the valid cells in report order, plus the candidate
+/// cells config validation rejected. Build one with [`scenario_grid`],
+/// [`dyn_scenario_grid`], [`seq_scenario_grid`] or
+/// [`arch_scenario_grid`] and sweep it with [`run`].
+#[derive(Debug, Clone)]
+pub struct Grid {
+    cells: Vec<Cell>,
+    skipped: Vec<(CellId, String)>,
+}
+
+/// The counter widths the paper sweeps (Table 1).
+const COUNTER_BITS: [u32; 4] = [4, 5, 6, 7];
+
+/// The paper-spec static plan at a counter width and filter setting.
+fn static_config(counter_bits: u32, deglitch: bool) -> BistConfig {
+    BistConfig::builder(Resolution::SIX_BIT, LinearitySpec::paper_stringent())
+        .counter_bits(counter_bits)
+        .deglitch(deglitch)
+        .build()
+        .expect("paper operating points are valid")
+}
+
+/// The static grid over a batch's devices: every counter width ×
+/// deglitch × noise point, all at ramp slope error `slope_error`. The
+/// cells share each device and draw their own acquisition noise.
+pub fn scenario_grid(batch: &Batch, slope_error: f64) -> Grid {
+    let mut cells = Vec::new();
+    for counter_bits in COUNTER_BITS {
+        for deglitch in [false, true] {
+            let config = static_config(counter_bits, deglitch);
+            for noise in NoisePoint::ALL {
+                cells.push(Cell {
+                    id: CellId::Static {
+                        arch: batch.architecture(),
+                        counter_bits,
+                        sigma_milli_lsb: None,
+                        deglitch,
+                        noise,
+                    },
+                    workload: Workload::static_ramp(config)
+                        .with_noise(noise.config())
+                        .with_slope_error(slope_error),
+                    source: batch.source(),
+                    streams: Streams::Shared { seed: batch.seed },
+                    sequencer: None,
+                });
             }
-            SeqCell::Dynamic { config, source } => {
-                let w = Workload::dynamic_sine(*config)
-                    .with_noise(NoiseConfig::noiseless().with_input_noise(0.002));
-                SeqRunner::Dynamic {
-                    full: Screener::new(w),
-                    seq_b: Screener::new(w).sequencer(*policy),
-                    seq_r: Screener::new(w)
-                        .sequencer(*policy)
-                        .backend(RtlBackend::new()),
-                    source: *source,
-                }
-            }
         }
+    }
+    Grid {
+        cells,
+        skipped: Vec::new(),
     }
 }
 
-/// The sequenced sweep grid: static cells (counter width × mismatch σ,
-/// plus one deglitched transition-noise cell) and dynamic cells
-/// (resolution × mismatch σ at the paper bin, plus the Nyquist-folding
-/// 1024-cycle candidates — of which the 8-bit one is rejected by the
-/// fixed-point register audit and recorded as a skipped cell).
-fn seq_scenario_grid() -> (Vec<(SeqScenarioId, SeqCell)>, Vec<SeqSkippedCell>) {
-    let spec = LinearitySpec::paper_stringent();
-    let mut grid = Vec::new();
-    let mut skipped = Vec::new();
-    for &counter_bits in &SEQ_STATIC_COUNTER_BITS {
-        for &sigma_milli in &SEQ_STATIC_SIGMA_MILLI {
-            let id = SeqScenarioId::Static {
-                counter_bits,
-                sigma_milli_lsb: sigma_milli,
-                deglitch: false,
-                noise: NoisePoint::Noiseless,
-            };
-            let config = BistConfig::builder(Resolution::SIX_BIT, spec)
-                .counter_bits(counter_bits)
-                .build()
-                .expect("paper operating points are valid");
-            let dist = WidthDistribution::new(1.0, sigma_milli as f64 / 1000.0);
-            grid.push((
-                id,
-                SeqCell::Static {
-                    config,
-                    source: IidWidthSource::new(Resolution::SIX_BIT, dist).into(),
-                    noise: NoiseConfig::noiseless(),
-                },
-            ));
-        }
-    }
-    // One deglitched, transition-noise cell: the filters and the quiet
-    // dwell of the completion-accept rule under sequencing.
-    grid.push((
-        SeqScenarioId::Static {
-            counter_bits: 5,
-            sigma_milli_lsb: 210,
-            deglitch: true,
-            noise: NoisePoint::Transition,
-        },
-        SeqCell::Static {
-            config: BistConfig::builder(Resolution::SIX_BIT, spec)
-                .counter_bits(5)
-                .deglitch(true)
-                .build()
-                .expect("paper operating points are valid"),
-            source: IidWidthSource::new(Resolution::SIX_BIT, WidthDistribution::new(1.0, 0.21))
-                .into(),
-            noise: NoisePoint::Transition.config(),
-        },
-    ));
-    let mut dyn_candidates: Vec<(u32, u32, u32)> = Vec::new();
-    for &bits in &SEQ_DYN_RESOLUTION_BITS {
-        for &sigma_milli in &SEQ_DYN_SIGMA_MILLI {
-            dyn_candidates.push((bits, sigma_milli, 1021));
-        }
-        // Nyquist-folding candidate: valid at 6 bits, rejected by the
-        // fixed-point register audit at 8 bits.
-        dyn_candidates.push((bits, 160, 1024));
-    }
-    for (bits, sigma_milli, cycles) in dyn_candidates {
-        let id = SeqScenarioId::Dynamic {
-            resolution_bits: bits,
-            sigma_milli_lsb: sigma_milli,
-            cycles,
-        };
-        let resolution = Resolution::new(bits).expect("sweep resolutions are valid");
-        let high = Volts(0.1 * resolution.code_count() as f64);
-        let flash = FlashConfig::new(resolution, Volts(0.0), high)
-            .with_width_sigma_lsb(sigma_milli as f64 / 1000.0);
-        match DynamicConfig::new(resolution, DYN_RECORD_LEN, cycles) {
-            Ok(config) => grid.push((
-                id,
-                SeqCell::Dynamic {
-                    config: config.with_overdrive(0.0),
-                    source: flash.into(),
-                },
-            )),
-            Err(e) => skipped.push(SeqSkippedCell {
-                scenario: id,
-                reason: e.to_string(),
-            }),
-        }
-    }
-    (grid, skipped)
+/// Samples per coherent record in the dynamic cells.
+const DYN_RECORD_LEN: usize = 4096;
+
+/// A dynamic cell's id, workload and flash source, or the validation
+/// error of its plan. Every resolution keeps the 0.1 V/LSB convention,
+/// and the sine is driven at exactly full scale: the default
+/// overdrive's clipping distortion (~−37 dBc, resolution-independent)
+/// would bury the 8-bit quantisation floor and reject even ideal
+/// devices.
+fn dyn_cell(
+    resolution_bits: u32,
+    sigma_milli_lsb: u32,
+    cycles: u32,
+    streams: Streams,
+    sequencer: Option<SequencerConfig>,
+) -> Result<Cell, (CellId, String)> {
+    let id = CellId::Dynamic {
+        resolution_bits,
+        sigma_milli_lsb,
+        cycles,
+    };
+    let resolution = Resolution::new(resolution_bits).expect("sweep resolutions are valid");
+    let high = Volts(0.1 * resolution.code_count() as f64);
+    let flash = FlashConfig::new(resolution, Volts(0.0), high)
+        .with_width_sigma_lsb(sigma_milli_lsb as f64 / 1000.0);
+    let config = DynamicConfig::new(resolution, DYN_RECORD_LEN, cycles)
+        .map_err(|e| (id, e.to_string()))?
+        .with_overdrive(0.0);
+    Ok(Cell {
+        id,
+        workload: Workload::dynamic_sine(config)
+            .with_noise(NoiseConfig::noiseless().with_input_noise(0.002)),
+        source: flash.into(),
+        streams,
+        sequencer,
+    })
 }
 
-/// The per-architecture grid: every zoo paper preset (flash, iid-width,
-/// SAR, pipeline) × counter width, all static-ramp noiseless cells.
-/// Every candidate validates, so the skipped list is always empty.
-fn arch_scenario_grid() -> (Vec<(SeqScenarioId, SeqCell)>, Vec<SeqSkippedCell>) {
-    let spec = LinearitySpec::paper_stringent();
-    let sources = [
-        SourceSpec::paper_flash(),
-        SourceSpec::paper_iid(),
-        SourceSpec::paper_sar(),
-        SourceSpec::paper_pipeline(),
-    ];
-    let mut grid = Vec::new();
-    for &counter_bits in &ARCH_COUNTER_BITS {
-        for source in sources {
-            let id = SeqScenarioId::Arch {
-                arch: source.architecture(),
-                counter_bits,
-            };
-            let config = BistConfig::builder(Resolution::SIX_BIT, spec)
-                .counter_bits(counter_bits)
-                .build()
-                .expect("paper operating points are valid");
-            grid.push((
-                id,
-                SeqCell::Static {
-                    config,
-                    source,
-                    noise: NoiseConfig::noiseless(),
-                },
-            ));
-        }
-    }
-    (grid, Vec::new())
-}
-
-/// RNG-stream salts of the sequenced sweep.
-const SEQ_DEVICE_SALT: u64 = 0x5e9_f000;
-const SEQ_NOISE_SALT: u64 = 0x5e9_f001;
-/// RNG-stream salts of the per-architecture sweep — disjoint from the
-/// sequenced grid's so the two sweeps draw independent silicon even at
-/// the same seed.
-const ARCH_DEVICE_SALT: u64 = 0x5e9_f002;
-const ARCH_NOISE_SALT: u64 = 0x5e9_f003;
-
-fn seq_stream_rng(seed: u64, device: usize, cell: usize, salt: u64) -> StdRng {
-    crate::batch::stream_rng(seed, &[salt, device as u64, cell as u64])
-}
-
-/// Runs the sequenced differential sweep over a device range — the unit
-/// of work for the parallel fan-out. For every device × valid cell,
-/// three runs consume bit-identical code streams: the full sweep
-/// (behavioural ground truth), the sequenced behavioural path and the
-/// sequenced RTL path. Backends must latch identical decisions; the
-/// sequenced decision is scored against the full sweep for empirical
-/// type I/II drift and samples-to-decision.
-pub fn run_seq_differential_range(
-    seed: u64,
-    policy: &SequencerConfig,
-    from: usize,
-    to: usize,
-) -> SeqDifferentialResult {
-    let (grid, skipped) = seq_scenario_grid();
-    run_seq_grid_range(
-        &grid,
-        skipped,
-        (SEQ_DEVICE_SALT, SEQ_NOISE_SALT),
+/// The dynamic grid: flash devices × resolution (6/8 bit) × mismatch σ
+/// (0 / 0.16 / 0.21 LSB) × coherent bin (1021/997 cycles, both odd and
+/// coprime with the record length). Every cell draws its own devices.
+pub fn dyn_scenario_grid(seed: u64) -> Grid {
+    let streams = Streams::PerCell {
         seed,
-        policy,
-        from,
-        to,
-    )
+        device_salt: 0xdd1f_f000,
+        noise_salt: 0xdd1f_f001,
+    };
+    let mut cells = Vec::new();
+    for bits in [6, 8] {
+        for sigma_milli in [0, 160, 210] {
+            for cycles in [1021, 997] {
+                cells.push(
+                    dyn_cell(bits, sigma_milli, cycles, streams, None)
+                        .expect("sweep bins are valid"),
+                );
+            }
+        }
+    }
+    Grid {
+        cells,
+        skipped: Vec::new(),
+    }
 }
 
-/// The shared device-outer loop behind every sequenced sweep: for each
-/// device × cell, three runs on bit-identical streams (full behavioural
-/// ground truth, sequenced behavioural, sequenced RTL), latch-compared
-/// and tallied. Which silicon a cell draws is entirely the cell's
-/// [`SourceSpec`] — the grid, not the loop, knows the architecture.
-#[allow(clippy::too_many_lines)]
-fn run_seq_grid_range(
-    grid: &[(SeqScenarioId, SeqCell)],
-    skipped: Vec<SeqSkippedCell>,
-    (device_salt, noise_salt): (u64, u64),
-    seed: u64,
-    policy: &SequencerConfig,
-    from: usize,
-    to: usize,
-) -> SeqDifferentialResult {
-    // Three screeners per cell: the full-sweep behavioural ground
-    // truth, the sequenced behavioural path and the sequenced
-    // gate-accurate path (per-cell so the cached RTL tops and scratch
-    // buffers reset in place across the device-outer sweep order).
-    let mut runners: Vec<SeqRunner> = grid
-        .iter()
-        .map(|(_, spec)| SeqRunner::new(spec, policy))
-        .collect();
-    let mut result = SeqDifferentialResult {
-        per_scenario: grid
-            .iter()
-            .map(|(id, _)| SeqScenarioTally::new(*id))
-            .collect(),
-        skipped_cells: skipped,
-        ..SeqDifferentialResult::default()
+/// The sequenced grid under `policy`: static iid-width cells (counter
+/// width 4/7 × mismatch σ 0.05/0.21 LSB, plus one deglitched
+/// transition-noise cell exercising the filters and the quiet dwell of
+/// the completion-accept rule) and dynamic flash cells (resolution 6/8
+/// × mismatch σ at the 1021-cycle bin, plus the Nyquist-folding
+/// 1024-cycle candidates — of which the 8-bit one is rejected by the
+/// fixed-point register audit and recorded as skipped).
+pub fn seq_scenario_grid(seed: u64, policy: &SequencerConfig) -> Grid {
+    let streams = Streams::PerCell {
+        seed,
+        device_salt: 0x5e9_f000,
+        noise_salt: 0x5e9_f001,
+    };
+    let iid_cell = |counter_bits, sigma_milli: u32, deglitch, noise: NoisePoint| Cell {
+        id: CellId::Static {
+            arch: Architecture::IidWidths,
+            counter_bits,
+            sigma_milli_lsb: Some(sigma_milli),
+            deglitch,
+            noise,
+        },
+        workload: Workload::static_ramp(static_config(counter_bits, deglitch))
+            .with_noise(noise.config()),
+        source: IidWidthSource::new(
+            Resolution::SIX_BIT,
+            WidthDistribution::new(1.0, sigma_milli as f64 / 1000.0),
+        )
+        .into(),
+        streams,
+        sequencer: Some(*policy),
+    };
+    let mut cells = Vec::new();
+    for counter_bits in [4, 7] {
+        for sigma_milli in [50, 210] {
+            cells.push(iid_cell(
+                counter_bits,
+                sigma_milli,
+                false,
+                NoisePoint::Noiseless,
+            ));
+        }
+    }
+    cells.push(iid_cell(5, 210, true, NoisePoint::Transition));
+    let mut skipped = Vec::new();
+    for bits in [6, 8] {
+        let candidates = [(0, 1021), (160, 1021), (210, 1021), (160, 1024)];
+        for (sigma_milli, cycles) in candidates {
+            match dyn_cell(bits, sigma_milli, cycles, streams, Some(*policy)) {
+                Ok(cell) => cells.push(cell),
+                Err(skip) => skipped.push(skip),
+            }
+        }
+    }
+    Grid { cells, skipped }
+}
+
+/// The per-architecture grid under `policy`: every zoo paper preset
+/// (flash, iid-width, SAR, pipeline) × counter width 4/6, all
+/// noiseless static-ramp cells drawing their own devices. Backends
+/// must latch identically for every architecture — the paper's
+/// architecture-agnostic claim, checked at the gate level.
+pub fn arch_scenario_grid(seed: u64, policy: &SequencerConfig) -> Grid {
+    // Salts disjoint from the sequenced grid's, so the two sweeps draw
+    // independent silicon even at the same seed.
+    let streams = Streams::PerCell {
+        seed,
+        device_salt: 0x5e9_f002,
+        noise_salt: 0x5e9_f003,
+    };
+    let mut cells = Vec::new();
+    for counter_bits in [4, 6] {
+        for source in [
+            SourceSpec::paper_flash(),
+            SourceSpec::paper_iid(),
+            SourceSpec::paper_sar(),
+            SourceSpec::paper_pipeline(),
+        ] {
+            cells.push(Cell {
+                id: CellId::Arch {
+                    arch: source.architecture(),
+                    counter_bits,
+                },
+                workload: Workload::static_ramp(static_config(counter_bits, false)),
+                source,
+                streams,
+                sequencer: Some(*policy),
+            });
+        }
+    }
+    Grid {
+        cells,
+        skipped: Vec::new(),
+    }
+}
+
+/// A cell's screeners: both backends on the cell's workload and
+/// sequencer, plus the unsequenced behavioural ground truth when the
+/// cell is sequenced. Per-cell screeners keep the RTL backend's cached
+/// tops and the scratch buffers resetting in place across the
+/// device-outer sweep order instead of rebuilding on every config
+/// change.
+struct Runner {
+    behavioral: Screener,
+    rtl: Screener<RtlBackend>,
+    full: Option<Screener>,
+}
+
+impl Runner {
+    fn new(cell: &Cell) -> Self {
+        let screener = || match cell.sequencer {
+            Some(policy) => Screener::new(cell.workload).sequencer(policy),
+            None => Screener::new(cell.workload),
+        };
+        Runner {
+            behavioral: screener(),
+            rtl: screener().backend(RtlBackend::new()),
+            full: cell.sequencer.map(|_| Screener::new(cell.workload)),
+        }
+    }
+}
+
+/// Whether two dynamic verdicts agree on everything the silicon
+/// latches: the per-limit decisions, the sample count and the
+/// completeness expectation.
+fn dyn_decisions_agree(a: &DynamicVerdict, b: &DynamicVerdict) -> bool {
+    a.checks == b.checks && a.samples == b.samples && a.expected_samples == b.expected_samples
+}
+
+/// The one agreement rule: identical latch (decision, device decision,
+/// samples) and identical verdict — bit-exact for static, decision-exact
+/// for dynamic unless the record stopped early.
+fn backends_agree(b: &ScreenVerdict, r: &ScreenVerdict) -> bool {
+    let latch = |v: &ScreenVerdict| (v.decision(), v.accepted(), v.samples());
+    latch(b) == latch(r)
+        && match (b, r) {
+            (ScreenVerdict::Static(b), ScreenVerdict::Static(r)) => b.verdict == r.verdict,
+            (ScreenVerdict::Dynamic(b), ScreenVerdict::Dynamic(r)) => {
+                b.stopped_early() || dyn_decisions_agree(&b.verdict, &r.verdict)
+            }
+            _ => false,
+        }
+}
+
+/// Sweeps devices `from..to` over every cell of `grid` — the unit of
+/// work behind [`run`]'s fan-out. Per device × cell, both backends (and
+/// the ground truth of a sequenced cell) consume bit-identical code
+/// streams, so any disagreement is a genuine datapath divergence, not
+/// sampling noise.
+fn run_range(grid: &Grid, from: usize, to: usize) -> DifferentialResult {
+    let mut runners: Vec<Runner> = grid.cells.iter().map(Runner::new).collect();
+    let mut result = DifferentialResult {
+        per_cell: grid.cells.iter().map(|c| Tally::new(c.id)).collect(),
+        skipped_cells: grid.skipped.clone(),
+        ..DifferentialResult::default()
     };
     for i in from..to {
         result.devices += 1;
-        for (cell, (id, _)) in grid.iter().enumerate() {
-            let noise_rng = || seq_stream_rng(seed, i, cell, noise_salt);
-            let (full_accepted, full_samples, b_latch, r_latch, verdicts_agree) =
-                match &mut runners[cell] {
-                    SeqRunner::Static {
-                        full,
-                        seq_b,
-                        seq_r,
-                        source,
-                    } => {
-                        let tf =
-                            source.sample_transfer(&mut seq_stream_rng(seed, i, cell, device_salt));
-                        let full = full
-                            .screen_one(&tf, &mut noise_rng())
-                            .as_static()
-                            .expect("static workload")
-                            .verdict;
-                        let b = *seq_b
-                            .screen_one(&tf, &mut noise_rng())
-                            .as_static()
-                            .expect("static workload");
-                        let r = *seq_r
-                            .screen_one(&tf, &mut noise_rng())
-                            .as_static()
-                            .expect("static workload");
-                        (
-                            full.accepted(),
-                            full.samples,
-                            SeqLatch::of(&b),
-                            SeqLatch::of(&r),
-                            b.verdict == r.verdict,
-                        )
-                    }
-                    SeqRunner::Dynamic {
-                        full,
-                        seq_b,
-                        seq_r,
-                        source,
-                    } => {
-                        let adc =
-                            source.sample_transfer(&mut seq_stream_rng(seed, i, cell, device_salt));
-                        let full = full
-                            .screen_one(&adc, &mut noise_rng())
-                            .as_dynamic()
-                            .expect("dynamic workload")
-                            .verdict;
-                        let b = *seq_b
-                            .screen_one(&adc, &mut noise_rng())
-                            .as_dynamic()
-                            .expect("dynamic workload");
-                        let r = *seq_r
-                            .screen_one(&adc, &mut noise_rng())
-                            .as_dynamic()
-                            .expect("dynamic workload");
-                        // Completed records additionally demand the
-                        // decision-exact dynamic verdict contract.
-                        let verdicts_agree =
-                            b.stopped_early() || dyn_decisions_agree(&b.verdict, &r.verdict);
-                        (
-                            full.accepted(),
-                            full.samples,
-                            SeqLatch::of(&b),
-                            SeqLatch::of(&r),
-                            verdicts_agree,
-                        )
-                    }
-                };
-            result.comparisons += 1;
-            let agree = b_latch == r_latch && verdicts_agree;
-            if agree {
-                result.agreements += 1;
-            } else {
-                result.divergences.push(SeqDivergence {
+        // Shared-stream cells all come from one batch: draw its device once.
+        let mut shared: Option<TransferFunction> = None;
+        for (c, (cell, runner)) in grid.cells.iter().zip(&mut runners).enumerate() {
+            let draw = || cell.source.sample_transfer(&mut cell.streams.device(i, c));
+            let own;
+            let adc = match cell.streams {
+                Streams::Shared { .. } => &*shared.get_or_insert_with(draw),
+                Streams::PerCell { .. } => {
+                    own = draw();
+                    &own
+                }
+            };
+            let behavioral = runner
+                .behavioral
+                .screen_one(adc, &mut cell.streams.noise(i, c));
+            let rtl = runner.rtl.screen_one(adc, &mut cell.streams.noise(i, c));
+            let truth = match &mut runner.full {
+                Some(full) => full.screen_one(adc, &mut cell.streams.noise(i, c)),
+                None => behavioral,
+            };
+            let agree = backends_agree(&behavioral, &rtl);
+            if !agree {
+                result.divergences.push(Divergence {
                     device: i,
-                    scenario: *id,
-                    behavioral: b_latch,
-                    rtl: r_latch,
+                    cell: cell.id,
+                    behavioral,
+                    rtl,
                 });
             }
-            let tally = &mut result.per_scenario[cell];
-            tally.comparisons += 1;
-            tally.agreements += u64::from(agree);
-            tally.early_stops += u64::from(b_latch.decision.stops());
-            match b_latch.decision {
-                SeqDecision::AcceptEarly(_) => {
-                    tally.early_accepts += 1;
-                    tally.seq_samples_early += b_latch.samples;
-                }
-                SeqDecision::RejectEarly(_) => {
-                    tally.early_rejects += 1;
-                    tally.seq_samples_early += b_latch.samples;
-                }
-                SeqDecision::Continue => {}
-            }
-            tally.full_accepted += u64::from(full_accepted);
-            tally.full_samples += full_samples;
-            tally.seq_samples += b_latch.samples;
-            if full_accepted {
-                tally.full_samples_accepted += full_samples;
-                tally.seq_samples_accepted += b_latch.samples;
-                tally.drift_i += u64::from(!b_latch.accepted);
-            } else {
-                tally.drift_ii += u64::from(b_latch.accepted);
-            }
+            result.per_cell[c].record(agree, &behavioral, &truth);
         }
     }
     result
 }
 
-/// Runs the full sequenced differential sweep over `devices` devices,
-/// fanned out across `workers` threads (0 = available parallelism).
-/// Deterministic in the worker count: devices and RNG streams derive
-/// from `(seed, index, cell)` alone.
-pub fn run_seq_differential(
-    seed: u64,
-    policy: &SequencerConfig,
-    devices: usize,
-    workers: usize,
-) -> SeqDifferentialResult {
-    let partials = partitioned(devices, workers, |from, to| {
-        run_seq_differential_range(seed, policy, from, to)
-    });
-    let mut total = SeqDifferentialResult::default();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-/// Runs the per-architecture sequenced differential over a device
-/// range: every zoo paper preset (flash, iid-width, SAR, pipeline) ×
-/// counter width, three runs per device × cell on bit-identical
-/// streams. Backends must latch identically for every architecture —
-/// the paper's architecture-agnostic claim, checked at the gate level.
-pub fn run_arch_differential_range(
-    seed: u64,
-    policy: &SequencerConfig,
-    from: usize,
-    to: usize,
-) -> SeqDifferentialResult {
-    let (grid, skipped) = arch_scenario_grid();
-    run_seq_grid_range(
-        &grid,
-        skipped,
-        (ARCH_DEVICE_SALT, ARCH_NOISE_SALT),
-        seed,
-        policy,
-        from,
-        to,
-    )
-}
-
-/// Runs the full per-architecture sequenced differential over
-/// `devices` devices, fanned out across `workers` threads (0 =
-/// available parallelism). Deterministic in the worker count. The
-/// result's per-cell tallies carry per-architecture samples-to-decision
-/// accounting; feed them to a [`PriorsBank`] with
-/// [`SeqDifferentialResult::seed_priors`] to derive
-/// architecture-conditioned sequencer policies.
-pub fn run_arch_differential(
-    seed: u64,
-    policy: &SequencerConfig,
-    devices: usize,
-    workers: usize,
-) -> SeqDifferentialResult {
-    let partials = partitioned(devices, workers, |from, to| {
-        run_arch_differential_range(seed, policy, from, to)
-    });
-    let mut total = SeqDifferentialResult::default();
+/// Sweeps `devices` devices over every cell of `grid`, fanned out
+/// across `workers` threads (0 = available parallelism). Deterministic
+/// in the worker count: devices and RNG streams derive from the seed,
+/// the device index and the cell alone.
+pub fn run(grid: &Grid, devices: usize, workers: usize) -> DifferentialResult {
+    let partials = partitioned(devices, workers, |from, to| run_range(grid, from, to));
+    let mut total = DifferentialResult::default();
     for p in &partials {
         total.merge(p);
     }
@@ -1465,268 +837,303 @@ pub fn run_arch_differential(
 mod tests {
     use super::*;
 
-    #[test]
-    fn small_fleet_is_bit_exact() {
-        let batch = Batch::paper_simulation(31, 12);
-        let result = run_differential(&batch, 0.0, 0);
-        assert_eq!(result.devices, 12);
-        assert_eq!(result.comparisons, 12 * 24);
-        assert!(
-            result.is_clean(),
-            "divergences: {:#?}",
-            &result.divergences[..result.divergences.len().min(3)]
-        );
-        // The sweep does real screening work: some devices accepted,
-        // some rejected, across the grid.
-        let accepted: u64 = result.per_scenario.iter().map(|s| s.accepted).sum();
-        assert!(accepted > 0);
-        assert!(accepted < result.comparisons);
+    const SEED: u64 = 1997;
+    const DEVICES: usize = 8;
+
+    /// The four grids at the golden-pin operating point, static at both
+    /// ramps.
+    fn grids() -> [(&'static str, Grid); 5] {
+        let batch = Batch::paper_simulation(SEED, DEVICES);
+        let policy = SequencerConfig::default();
+        [
+            ("static nominal", scenario_grid(&batch, 0.0)),
+            ("static skewed", scenario_grid(&batch, -0.022)),
+            ("dynamic", dyn_scenario_grid(SEED)),
+            ("sequenced", seq_scenario_grid(SEED, &policy)),
+            ("arch", arch_scenario_grid(SEED, &policy)),
+        ]
     }
 
+    /// Per-cell tallies of the parent implementation's four runners
+    /// (seed 1997, 8 devices, default sequencer policy), in grid order.
+    /// Unsequenced rows: `[comparisons, agreements, full_accepted]`.
+    /// Sequenced rows add `[early_stops, early_accepts, early_rejects,
+    /// seq_samples_early, drift_i, drift_ii, full_samples, seq_samples,
+    /// full_samples_accepted, seq_samples_accepted]`.
+    #[rustfmt::skip]
+    const GOLDEN: [&[(&str, &[u64])]; 5] = [
+        &[
+            ("static/4-bit/raw/noiseless", &[8, 8, 5]),
+            ("static/4-bit/raw/transition", &[8, 8, 1]),
+            ("static/4-bit/raw/mixed", &[8, 8, 0]),
+            ("static/4-bit/deglitch/noiseless", &[8, 8, 5]),
+            ("static/4-bit/deglitch/transition", &[8, 8, 3]),
+            ("static/4-bit/deglitch/mixed", &[8, 8, 4]),
+            ("static/5-bit/raw/noiseless", &[8, 8, 5]),
+            ("static/5-bit/raw/transition", &[8, 8, 0]),
+            ("static/5-bit/raw/mixed", &[8, 8, 0]),
+            ("static/5-bit/deglitch/noiseless", &[8, 8, 5]),
+            ("static/5-bit/deglitch/transition", &[8, 8, 3]),
+            ("static/5-bit/deglitch/mixed", &[8, 8, 3]),
+            ("static/6-bit/raw/noiseless", &[8, 8, 3]),
+            ("static/6-bit/raw/transition", &[8, 8, 0]),
+            ("static/6-bit/raw/mixed", &[8, 8, 0]),
+            ("static/6-bit/deglitch/noiseless", &[8, 8, 3]),
+            ("static/6-bit/deglitch/transition", &[8, 8, 0]),
+            ("static/6-bit/deglitch/mixed", &[8, 8, 0]),
+            ("static/7-bit/raw/noiseless", &[8, 8, 2]),
+            ("static/7-bit/raw/transition", &[8, 8, 0]),
+            ("static/7-bit/raw/mixed", &[8, 8, 0]),
+            ("static/7-bit/deglitch/noiseless", &[8, 8, 2]),
+            ("static/7-bit/deglitch/transition", &[8, 8, 0]),
+            ("static/7-bit/deglitch/mixed", &[8, 8, 0]),
+        ],
+        &[
+            ("static/4-bit/raw/noiseless", &[8, 8, 2]),
+            ("static/4-bit/raw/transition", &[8, 8, 0]),
+            ("static/4-bit/raw/mixed", &[8, 8, 0]),
+            ("static/4-bit/deglitch/noiseless", &[8, 8, 2]),
+            ("static/4-bit/deglitch/transition", &[8, 8, 2]),
+            ("static/4-bit/deglitch/mixed", &[8, 8, 0]),
+            ("static/5-bit/raw/noiseless", &[8, 8, 2]),
+            ("static/5-bit/raw/transition", &[8, 8, 0]),
+            ("static/5-bit/raw/mixed", &[8, 8, 0]),
+            ("static/5-bit/deglitch/noiseless", &[8, 8, 2]),
+            ("static/5-bit/deglitch/transition", &[8, 8, 3]),
+            ("static/5-bit/deglitch/mixed", &[8, 8, 2]),
+            ("static/6-bit/raw/noiseless", &[8, 8, 3]),
+            ("static/6-bit/raw/transition", &[8, 8, 0]),
+            ("static/6-bit/raw/mixed", &[8, 8, 0]),
+            ("static/6-bit/deglitch/noiseless", &[8, 8, 3]),
+            ("static/6-bit/deglitch/transition", &[8, 8, 0]),
+            ("static/6-bit/deglitch/mixed", &[8, 8, 0]),
+            ("static/7-bit/raw/noiseless", &[8, 8, 3]),
+            ("static/7-bit/raw/transition", &[8, 8, 0]),
+            ("static/7-bit/raw/mixed", &[8, 8, 0]),
+            ("static/7-bit/deglitch/noiseless", &[8, 8, 3]),
+            ("static/7-bit/deglitch/transition", &[8, 8, 0]),
+            ("static/7-bit/deglitch/mixed", &[8, 8, 0]),
+        ],
+        &[
+            ("dynamic/6-bit/σ0.000/1021c", &[8, 8, 8]),
+            ("dynamic/6-bit/σ0.000/997c", &[8, 8, 8]),
+            ("dynamic/6-bit/σ0.160/1021c", &[8, 8, 8]),
+            ("dynamic/6-bit/σ0.160/997c", &[8, 8, 8]),
+            ("dynamic/6-bit/σ0.210/1021c", &[8, 8, 8]),
+            ("dynamic/6-bit/σ0.210/997c", &[8, 8, 7]),
+            ("dynamic/8-bit/σ0.000/1021c", &[8, 8, 8]),
+            ("dynamic/8-bit/σ0.000/997c", &[8, 8, 8]),
+            ("dynamic/8-bit/σ0.160/1021c", &[8, 8, 6]),
+            ("dynamic/8-bit/σ0.160/997c", &[8, 8, 5]),
+            ("dynamic/8-bit/σ0.210/1021c", &[8, 8, 4]),
+            ("dynamic/8-bit/σ0.210/997c", &[8, 8, 6]),
+        ],
+        &[
+            ("static/4-bit/σ0.050/raw/noiseless", &[8, 8, 8, 8, 8, 0, 3088, 0, 0, 6704, 3088, 6704, 3088]),
+            ("static/4-bit/σ0.210/raw/noiseless", &[8, 8, 1, 8, 1, 7, 4112, 0, 0, 6704, 4112, 838, 834]),
+            ("static/7-bit/σ0.050/raw/noiseless", &[8, 8, 8, 8, 8, 0, 11600, 0, 0, 52104, 11600, 52104, 11600]),
+            ("static/7-bit/σ0.210/raw/noiseless", &[8, 8, 2, 8, 2, 6, 21008, 0, 0, 52104, 21008, 13026, 11588]),
+            ("static/5-bit/σ0.210/deglitch/transition", &[8, 8, 2, 8, 2, 6, 5904, 0, 0, 13192, 5904, 3298, 3076]),
+            ("dynamic/6-bit/σ0.000/1021c", &[8, 8, 8, 8, 8, 0, 2048, 0, 0, 32768, 2048, 32768, 2048]),
+            ("dynamic/6-bit/σ0.160/1021c", &[8, 8, 8, 8, 8, 0, 3008, 0, 0, 32768, 3008, 32768, 3008]),
+            ("dynamic/6-bit/σ0.210/1021c", &[8, 8, 8, 8, 8, 0, 5440, 0, 0, 32768, 5440, 32768, 5440]),
+            ("dynamic/6-bit/σ0.160/1024c", &[8, 8, 8, 8, 8, 0, 2048, 0, 0, 32768, 2048, 32768, 2048]),
+            ("dynamic/8-bit/σ0.000/1021c", &[8, 8, 8, 8, 8, 0, 6656, 0, 0, 32768, 6656, 32768, 6656]),
+            ("dynamic/8-bit/σ0.160/1021c", &[8, 8, 5, 5, 5, 0, 10624, 0, 0, 32768, 22912, 20480, 10624]),
+            ("dynamic/8-bit/σ0.210/1021c", &[8, 8, 3, 6, 2, 4, 10688, 0, 0, 32768, 18880, 12288, 10496]),
+        ],
+        &[
+            ("arch/flash/4-bit", &[8, 8, 1, 8, 1, 7, 3152, 0, 0, 6704, 3152, 838, 834]),
+            ("arch/iid/4-bit", &[8, 8, 3, 8, 3, 5, 4304, 0, 0, 6704, 4304, 2514, 2438]),
+            ("arch/sar/4-bit", &[8, 8, 7, 8, 7, 1, 6224, 0, 0, 6704, 6224, 5866, 5838]),
+            ("arch/pipeline/4-bit", &[8, 8, 6, 8, 6, 2, 5072, 0, 0, 6704, 5072, 5028, 4556]),
+            ("arch/flash/6-bit", &[8, 8, 3, 8, 3, 5, 14736, 0, 0, 26160, 14736, 9810, 8646]),
+            ("arch/iid/6-bit", &[8, 8, 5, 8, 5, 3, 19152, 0, 0, 26160, 19152, 16350, 14346]),
+            ("arch/sar/6-bit", &[8, 8, 6, 8, 7, 1, 18384, 0, 1, 26160, 18384, 19620, 17356]),
+            ("arch/pipeline/6-bit", &[8, 8, 2, 8, 4, 4, 8080, 0, 2, 26160, 8080, 6540, 5252]),
+        ],
+    ];
+
     #[test]
-    fn slope_error_sweep_is_bit_exact() {
-        // The paper's "slightly too steep" ramp shifts every count;
-        // both datapaths must shift identically.
-        let batch = Batch::paper_simulation(37, 8);
-        let result = run_differential(&batch, -0.022, 0);
-        assert!(result.is_clean(), "{result}");
+    fn grids_reproduce_the_golden_tallies() {
+        for ((name, grid), golden) in grids().iter().zip(GOLDEN) {
+            let result = run(grid, DEVICES, 0);
+            assert_eq!(result.devices, DEVICES as u64, "{name}");
+            assert!(result.is_clean(), "{name}: {result}");
+            let labels: Vec<String> = result.per_cell.iter().map(|t| t.cell.to_string()).collect();
+            let expected: Vec<&str> = golden.iter().map(|(label, _)| *label).collect();
+            assert_eq!(labels, expected, "{name}: grid order");
+            for (t, (label, row)) in result.per_cell.iter().zip(golden) {
+                let got = [
+                    t.comparisons,
+                    t.agreements,
+                    t.full_accepted,
+                    t.early_stops,
+                    t.early_accepts,
+                    t.early_rejects,
+                    t.seq_samples_early,
+                    t.drift_i,
+                    t.drift_ii,
+                    t.full_samples,
+                    t.seq_samples,
+                    t.full_samples_accepted,
+                    t.seq_samples_accepted,
+                ];
+                assert_eq!(&got[..row.len()], *row, "{name}: {label}");
+                if row.len() == 3 {
+                    // Unsequenced: the cell is its own ground truth.
+                    assert_eq!(got[3..9], [0; 6], "{name}: {label}");
+                    assert_eq!(t.full_samples, t.seq_samples, "{name}: {label}");
+                }
+            }
+        }
     }
 
     #[test]
     fn independent_of_worker_count() {
-        let batch = Batch::paper_simulation(41, 10);
-        let seq = run_differential(&batch, 0.0, 1);
-        let par = run_differential(&batch, 0.0, 4);
-        assert_eq!(seq, par);
+        for (name, grid) in grids() {
+            assert_eq!(run(&grid, 5, 1), run(&grid, 5, 4), "{name}");
+        }
     }
 
     #[test]
     fn merge_accumulates_cellwise() {
-        let batch = Batch::paper_simulation(43, 6);
-        let whole = run_differential_range(&batch, 0.0, 0, 6);
-        let mut parts = run_differential_range(&batch, 0.0, 0, 2);
-        parts.merge(&run_differential_range(&batch, 0.0, 2, 6));
-        assert_eq!(whole.comparisons, parts.comparisons);
-        assert_eq!(whole.agreements, parts.agreements);
-        assert_eq!(whole.per_scenario, parts.per_scenario);
+        for (name, grid) in grids() {
+            let whole = run_range(&grid, 0, 4);
+            let mut parts = run_range(&grid, 0, 1);
+            parts.merge(&run_range(&grid, 1, 4));
+            assert_eq!(whole, parts, "{name}");
+        }
     }
 
     #[test]
     fn display_summarises() {
-        let batch = Batch::paper_simulation(47, 2);
-        let r = run_differential(&batch, 0.0, 1);
-        let s = r.to_string();
-        assert!(s.contains("2 devices"), "{s}");
-        assert!(s.contains("bit-exact"), "{s}");
+        for (name, grid) in grids() {
+            let r = run(&grid, 2, 1);
+            let s = r.to_string();
+            assert!(s.contains("2 devices"), "{name}: {s}");
+            assert!(s.contains("latches agree"), "{name}: {s}");
+        }
     }
 
     #[test]
-    fn dyn_small_fleet_is_decision_exact() {
-        let result = run_dyn_differential(31, 8, 0);
-        assert_eq!(result.devices, 8);
-        assert_eq!(result.comparisons, 8 * 12);
-        assert!(
-            result.is_clean(),
-            "divergences: {:#?}",
-            &result.divergences[..result.divergences.len().min(3)]
+    fn only_the_8_bit_nyquist_candidate_is_skipped() {
+        let skipped: Vec<Vec<(CellId, String)>> =
+            grids().iter().map(|(_, g)| g.skipped.clone()).collect();
+        for (i, s) in skipped.iter().enumerate() {
+            assert_eq!(s.is_empty(), i != 3, "{s:?}");
+        }
+        let (id, reason) = &skipped[3][0];
+        assert_eq!(skipped[3].len(), 1);
+        assert_eq!(
+            *id,
+            CellId::Dynamic {
+                resolution_bits: 8,
+                sigma_milli_lsb: 160,
+                cycles: 1024
+            }
         );
-        // The sweep does real screening work: the ideal cells accept,
-        // the worst-case mismatch cells reject at least someone.
-        let accepted: u64 = result.per_scenario.iter().map(|s| s.accepted).sum();
-        assert!(accepted > 0);
-        assert!(accepted < result.comparisons, "nothing was rejected");
+        assert!(reason.contains("unrealisable"), "{reason}");
     }
 
     #[test]
-    fn dyn_independent_of_worker_count() {
-        let seq = run_dyn_differential(41, 6, 1);
-        let par = run_dyn_differential(41, 6, 4);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn dyn_merge_accumulates_cellwise() {
-        let whole = run_dyn_differential_range(43, 0, 4);
-        let mut parts = run_dyn_differential_range(43, 0, 1);
-        parts.merge(&run_dyn_differential_range(43, 1, 4));
-        assert_eq!(whole.comparisons, parts.comparisons);
-        assert_eq!(whole.agreements, parts.agreements);
-        assert_eq!(whole.per_scenario, parts.per_scenario);
-    }
-
-    #[test]
-    fn dyn_cells_draw_independent_devices() {
-        // The satellite fix behind run_dyn_differential: every cell has
-        // its own seeded device stream, so two cells at the same device
-        // index see different silicon.
-        let a = dyn_stream_rng(7, 3, 0, DYN_DEVICE_SALT);
-        let b = dyn_stream_rng(7, 3, 1, DYN_DEVICE_SALT);
-        let mut a = a;
-        let mut b = b;
-        use rand::RngCore;
-        assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn dyn_display_summarises() {
-        let r = run_dyn_differential(47, 2, 1);
-        let s = r.to_string();
-        assert!(s.contains("2 devices"), "{s}");
-        assert!(s.contains("decisions exact"), "{s}");
-    }
-
-    #[test]
-    fn seq_small_fleet_is_latch_exact_and_saves_samples() {
+    fn sequenced_cells_save_samples() {
         let policy = SequencerConfig::default();
-        let result = run_seq_differential(31, &policy, 6, 0);
-        assert_eq!(result.devices, 6);
-        assert_eq!(result.comparisons as usize, 6 * result.per_scenario.len());
-        assert!(
-            result.is_clean(),
-            "divergences: {:#?}",
-            &result.divergences[..result.divergences.len().min(3)]
-        );
-        // The invalid 8-bit Nyquist-folding candidate was skipped, not run.
-        assert_eq!(result.skipped_cells.len(), 1);
-        assert!(result.skipped_cells[0].reason.contains("unrealisable"));
-        // Real early stopping happened and saved samples overall.
+        let result = run(&seq_scenario_grid(31, &policy), 6, 0);
+        assert!(result.is_clean(), "{result}");
         assert!(result.early_stop_rate() > 0.3, "{result}");
         assert!(result.reduction_overall() > 1.2, "{result}");
     }
 
     #[test]
-    fn seq_independent_of_worker_count() {
-        let policy = SequencerConfig::default();
-        let seq1 = run_seq_differential(41, &policy, 5, 1);
-        let seq4 = run_seq_differential(41, &policy, 5, 4);
-        assert_eq!(seq1, seq4);
-    }
-
-    #[test]
-    fn seq_merge_accumulates_cellwise() {
-        let policy = SequencerConfig::default();
-        let whole = run_seq_differential_range(43, &policy, 0, 4);
-        let mut parts = run_seq_differential_range(43, &policy, 0, 1);
-        parts.merge(&run_seq_differential_range(43, &policy, 1, 4));
-        assert_eq!(whole.comparisons, parts.comparisons);
-        assert_eq!(whole.agreements, parts.agreements);
-        assert_eq!(whole.per_scenario, parts.per_scenario);
-        assert_eq!(whole.skipped_cells, parts.skipped_cells);
-    }
-
-    #[test]
-    fn seq_min_samples_never_violated() {
+    fn min_samples_never_violated() {
         let policy = SequencerConfig {
             min_samples: 300,
             check_interval: 50,
             ..Default::default()
         };
-        let result = run_seq_differential(59, &policy, 4, 0);
+        let result = run(&seq_scenario_grid(59, &policy), 4, 0);
         assert!(result.is_clean());
         // Per-decision at_sample checks live in
         // crates/core/tests/sequencer_equivalence.rs; here: no cell's
-        // sequenced runs averaged fewer samples than the floor.
-        for t in &result.per_scenario {
-            if t.comparisons > 0 && t.early_stops == t.comparisons {
-                assert!(t.seq_samples >= t.comparisons * 300);
-            }
+        // early stops averaged fewer samples than the floor.
+        for t in &result.per_cell {
+            assert!(t.seq_samples_early >= t.early_stops * 300, "{}", t.cell);
         }
-    }
-
-    #[test]
-    fn seq_display_summarises() {
-        let policy = SequencerConfig::default();
-        let r = run_seq_differential(61, &policy, 2, 1);
-        let s = r.to_string();
-        assert!(s.contains("2 devices"), "{s}");
-        assert!(s.contains("early stops"), "{s}");
-        assert!(r.per_scenario[0].scenario.to_string().contains("static/"));
-    }
-
-    #[test]
-    fn sar_and_pipeline_fleets_are_bit_exact_through_rtl() {
-        // The full (non-sequenced) fleet validator over the new
-        // architectures: behavioural and RTL datapaths must agree on
-        // every verdict field for SAR and pipeline silicon too.
-        for source in [SourceSpec::paper_sar(), SourceSpec::paper_pipeline()] {
-            let batch = Batch::of(source).seed(53).size(3);
-            let result = run_differential(&batch, 0.0, 0);
-            assert_eq!(result.comparisons, 3 * 24, "{source}");
-            assert!(result.is_clean(), "{source}: {result}");
-        }
-    }
-
-    #[test]
-    fn arch_sweep_is_latch_exact_across_architectures() {
-        let policy = SequencerConfig::default();
-        let result = run_arch_differential(31, &policy, 4, 0);
-        assert_eq!(result.devices, 4);
-        assert_eq!(
-            result.per_scenario.len(),
-            Architecture::COUNT * ARCH_COUNTER_BITS.len()
-        );
-        assert!(result.skipped_cells.is_empty());
-        assert!(
-            result.is_clean(),
-            "divergences: {:#?}",
-            &result.divergences[..result.divergences.len().min(3)]
-        );
-        // Every architecture appears in the grid, labelled.
-        for arch in Architecture::ALL {
-            assert!(
-                result
-                    .per_scenario
-                    .iter()
-                    .any(|t| t.scenario.architecture() == arch),
-                "{arch} missing from the grid"
-            );
-        }
-        assert!(result.per_scenario[0]
-            .scenario
-            .to_string()
-            .starts_with("arch/"));
-    }
-
-    #[test]
-    fn arch_sweep_independent_of_worker_count() {
-        let policy = SequencerConfig::default();
-        let seq1 = run_arch_differential(41, &policy, 3, 1);
-        let seq4 = run_arch_differential(41, &policy, 3, 4);
-        assert_eq!(seq1, seq4);
     }
 
     #[test]
     fn early_split_fields_account_for_every_early_stop() {
         let policy = SequencerConfig::default();
-        let result = run_arch_differential(43, &policy, 4, 0);
-        for t in &result.per_scenario {
-            assert_eq!(
-                t.early_accepts + t.early_rejects,
-                t.early_stops,
-                "{}",
-                t.scenario
-            );
-            if t.early_stops == 0 {
-                assert_eq!(t.seq_samples_early, 0);
-            } else {
-                assert!(t.seq_samples_early >= t.early_stops * policy.min_samples);
-                assert!(t.seq_samples_early <= t.seq_samples);
+        for grid in [
+            seq_scenario_grid(43, &policy),
+            arch_scenario_grid(43, &policy),
+        ] {
+            for t in &run(&grid, 4, 0).per_cell {
+                assert_eq!(
+                    t.early_accepts + t.early_rejects,
+                    t.early_stops,
+                    "{}",
+                    t.cell
+                );
+                if t.early_stops == 0 {
+                    assert_eq!(t.seq_samples_early, 0);
+                } else {
+                    assert!(t.seq_samples_early >= t.early_stops * policy.min_samples);
+                    assert!(t.seq_samples_early <= t.seq_samples);
+                }
             }
         }
     }
 
     #[test]
+    fn sar_and_pipeline_batches_are_bit_exact_through_rtl() {
+        for source in [SourceSpec::paper_sar(), SourceSpec::paper_pipeline()] {
+            let batch = Batch::of(source).seed(53).size(3);
+            let result = run(&scenario_grid(&batch, 0.0), batch.size, 0);
+            assert_eq!(result.comparisons(), 3 * 24, "{source}");
+            assert!(result.is_clean(), "{source}: {result}");
+            assert!(result
+                .per_cell
+                .iter()
+                .all(|t| t.cell.architecture() == source.architecture()));
+        }
+    }
+
+    #[test]
+    fn arch_grid_covers_every_architecture() {
+        let cells = arch_scenario_grid(31, &SequencerConfig::default()).cells;
+        assert_eq!(cells.len(), Architecture::COUNT * 2);
+        for arch in Architecture::ALL {
+            assert!(
+                cells.iter().any(|c| c.id.architecture() == arch),
+                "{arch} missing from the grid"
+            );
+        }
+    }
+
+    #[test]
+    fn per_cell_streams_draw_independent_devices() {
+        use rand::RngCore;
+        // Every per-cell-stream cell has its own seeded device stream, so
+        // two cells at the same device index see different silicon.
+        let cells = dyn_scenario_grid(7).cells;
+        let [a, b] = [0, 1].map(|c| cells[c].streams.device(3, c).next_u64());
+        assert_ne!(a, b);
+    }
+
+    #[test]
     fn seed_priors_accumulates_by_architecture() {
         let policy = SequencerConfig::default();
-        let result = run_arch_differential(47, &policy, 5, 0);
+        let result = run(&arch_scenario_grid(47, &policy), 5, 0);
         let mut bank = PriorsBank::new(policy);
         result.seed_priors(&mut bank);
-        assert_eq!(bank.runs(), result.comparisons);
+        assert_eq!(bank.runs(), result.comparisons());
         for arch in Architecture::ALL {
             let expected: u64 = result
-                .per_scenario
+                .per_cell
                 .iter()
-                .filter(|t| t.scenario.architecture() == arch)
+                .filter(|t| t.cell.architecture() == arch)
                 .map(|t| t.comparisons)
                 .sum();
             assert_eq!(bank.tally(arch).runs, expected, "{arch}");

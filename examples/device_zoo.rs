@@ -20,7 +20,7 @@ use bist_core::report::{fmt_prob, Table};
 use bist_core::screener::{Screener, Workload};
 use bist_core::sequencer::SequencerConfig;
 use bist_core::source::{Architecture, Zoo};
-use bist_mc::differential::run_arch_differential;
+use bist_mc::differential::{self, arch_scenario_grid};
 
 const FLEET: usize = 240;
 const ZOO_SEED: u64 = 7;
@@ -94,11 +94,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ground truth + sequenced behavioural + sequenced RTL on
     // bit-identical streams) feeding the priors bank.
     let base = SequencerConfig::default();
-    let diff = run_arch_differential(ZOO_SEED, &base, 6, 0);
+    let diff = differential::run(&arch_scenario_grid(ZOO_SEED, &base), 6, 0);
     assert!(diff.is_clean(), "behavioural↔RTL divergence: {diff}");
     println!(
         "differential: {} comparisons, {} divergences, drift I {:.2e} / II {:.2e}\n",
-        diff.comparisons,
+        diff.comparisons(),
         diff.divergences.len(),
         diff.type_i_drift(),
         diff.type_ii_drift(),
