@@ -152,6 +152,45 @@ impl<T> Ring<T> {
         }
     }
 
+    // bist-lint: hot-path — burst delivery: a worker hands a consumer its verdicts in one go
+    /// Queues the items of `items` in order, blocking while the ring is
+    /// full, and wakes consumers once per run of items queued rather
+    /// than once per item, so a consumer woken by the first item finds
+    /// the rest already queued. Returns how many items were queued:
+    /// fewer than `items` holds only if the ring is closed first, and
+    /// the items left over are dropped. `items` is drained under the
+    /// ring's lock, so it must not touch this ring.
+    pub fn push_all(&self, items: impl IntoIterator<Item = T>) -> usize {
+        let mut items = items.into_iter().peekable();
+        let mut queued = 0;
+        let mut state = self.state.lock().expect("ring lock");
+        while !state.closed {
+            let before = queued;
+            while state.len < self.capacity {
+                let Some(item) = items.next() else { break };
+                let tail = (state.head + state.len) % self.capacity;
+                state.slots[tail] = Some(item);
+                state.len += 1;
+                queued += 1;
+            }
+            // ORDERING: Relaxed — depth mirror for telemetry only; the
+            // mutex orders the queue contents themselves.
+            self.depth.store(state.len, Ordering::Relaxed);
+            if items.peek().is_none() {
+                drop(state);
+                if queued > before {
+                    self.not_empty.notify_all();
+                }
+                return queued;
+            }
+            if queued > before {
+                self.not_empty.notify_all();
+            }
+            state = self.not_full.wait(state).expect("ring lock");
+        }
+        queued
+    }
+
     // bist-lint: hot-path — worker claim loop: every queued item leaves through here
     /// Dequeues the oldest item, blocking while the ring is empty.
     /// Returns `None` only once the ring is closed *and* drained, so
@@ -262,6 +301,34 @@ mod tests {
         assert_eq!(blocked.join().expect("join"), Err(8));
         assert_eq!(ring.pop(), Some(7));
         assert_eq!(ring.pop(), None);
+    }
+
+    #[test]
+    fn push_all_queues_in_order_and_blocks_while_full() {
+        let ring = Arc::new(Ring::with_capacity(2));
+        let r2 = Arc::clone(&ring);
+        // Five items through a two-slot ring: the producer must wait for
+        // the consumer twice and still hand over every item in order.
+        let producer = std::thread::spawn(move || r2.push_all(1..=5u32));
+        let got: Vec<u32> = (0..5).map(|_| ring.pop().expect("item")).collect();
+        assert_eq!(got, vec![1, 2, 3, 4, 5]);
+        assert_eq!(producer.join().expect("join"), 5);
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn push_all_stops_at_close() {
+        let ring = Arc::new(Ring::with_capacity(2));
+        let r2 = Arc::clone(&ring);
+        let producer = std::thread::spawn(move || r2.push_all([1u32, 2, 3, 4]));
+        // Give the producer time to fill the ring and block, then close.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        ring.close();
+        assert_eq!(producer.join().expect("join"), 2);
+        assert_eq!(ring.pop(), Some(1));
+        assert_eq!(ring.pop(), Some(2));
+        assert_eq!(ring.pop(), None);
+        assert_eq!(ring.push_all([9]), 0, "a closed ring queues nothing");
     }
 
     #[test]

@@ -161,8 +161,9 @@ pub struct TelemetrySnapshot {
     /// Submission-queue occupancy at snapshot time.
     pub queue_depth: u64,
     /// Verdicts pending delivery to the snapshotting consumer: the
-    /// in-process verdict-ring occupancy for handle snapshots, or the
-    /// session's undelivered-verdict count for TCP snapshots.
+    /// in-process verdict-ring occupancy for handle snapshots, or, for
+    /// TCP snapshots, the session's verdicts not yet handed to its
+    /// write buffer (which runs at most 8 KiB behind the socket).
     pub verdict_depth: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
